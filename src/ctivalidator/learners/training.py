@@ -19,7 +19,6 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -217,22 +216,6 @@ def predict(model, X: np.ndarray, width: int | None = None):
     return codes, time.perf_counter() - started
 
 
-class SearchStrategy(Protocol):
-    """Pluggable hyperparameter proposal order."""
-
-    def propose(self, grid_points: list[dict], n_trials: int,
-                rng: np.random.Generator) -> list[dict]:
-        ...
-
-
-class RandomSearchStrategy:
-    """Seeded shuffle of the grid, first ``n_trials`` points."""
-
-    def propose(self, grid_points, n_trials, rng):
-        order = rng.permutation(len(grid_points))
-        return [grid_points[i] for i in order[:max(1, n_trials)]]
-
-
 def grid_points(family: str) -> list[dict]:
     grid = FAMILIES[family].grid
     names = sorted(grid)
@@ -250,7 +233,6 @@ class TuneResult:
 
 def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
          budget: BuildBudget, seed: int, n_trials: int = DEFAULT_N_TRIALS,
-         strategy: SearchStrategy | None = None,
          clock: BudgetClock | None = None) -> TuneResult:
     """Seeded random search over the family grid with an internal split.
 
@@ -259,9 +241,9 @@ def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
     that point after one trial.
     """
     clock = clock or BudgetClock(budget)
-    strategy = strategy or RandomSearchStrategy()
     rng = np.random.default_rng(seed)
-    proposals = strategy.propose(grid_points(family), n_trials, rng)
+    points = grid_points(family)
+    proposals = [points[i] for i in rng.permutation(len(points))[:max(1, n_trials)]]
     if y_codes.shape[0] < 4:
         # too small for an inner cut; take the first seeded proposal
         return TuneResult(best_params=proposals[0], trials=[])
@@ -402,8 +384,7 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
                      seed: int = 0, *, tiers=DEFAULT_TIERS,
                      n_trials: int = DEFAULT_N_TRIALS, parallelism: int = 1,
                      test_fraction: float = DEFAULT_TEST_FRACTION,
-                     requirement_key: str = "", dataset_fingerprint: str = "",
-                     strategy: SearchStrategy | None = None) -> BuildReport:
+                     requirement_key: str = "", dataset_fingerprint: str = "") -> BuildReport:
     """Build every (scheme x family) candidate for a selected table.
 
     ``table`` provides ``observed`` columns and ``labels`` (see
@@ -418,22 +399,22 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
     if n_classes < 1:
         raise ContractError("no labels to learn from")
 
-    prepared: list[tuple[str, features.FeatureMatrix, features.EncoderSpec, SplitResult]] = []
+    cut = split(codes, test_fraction, seed=seed)
+    prepared: list[tuple[str, features.FeatureMatrix, features.EncoderSpec]] = []
     for scheme in features.SCHEMES:
         matrix, spec = features.fit_transform(table.observed, scheme=scheme, seed=seed)
-        cut = split(codes, test_fraction, seed=seed)
-        prepared.append((scheme, matrix, spec, cut))
+        prepared.append((scheme, matrix, spec))
 
     jobs = []
     job_seed = {}
-    for s_idx, (scheme, matrix, spec, cut) in enumerate(prepared):
+    for s_idx, (scheme, matrix, spec) in enumerate(prepared):
         for f_idx, family in enumerate(family_names):
-            jobs.append((scheme, matrix, spec, cut, family))
+            jobs.append((scheme, matrix, spec, family))
             # stable per-candidate seed, independent of execution order
             job_seed[(scheme, family)] = seed * 100003 + s_idx * 1009 + f_idx * 13 + 1
 
     def run(job):
-        scheme, matrix, spec, cut, family = job
+        scheme, matrix, spec, family = job
         cand_seed = job_seed[(scheme, family)]
         clock = BudgetClock(budget)
         started = time.perf_counter()
@@ -443,8 +424,7 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
             X_train, y_train = matrix.values[cut.train_idx], codes[cut.train_idx]
             X_test, y_test = matrix.values[cut.test_idx], codes[cut.test_idx]
             tuned = tune(family, X_train, y_train, n_classes, budget,
-                         seed=cand_seed, n_trials=n_trials, strategy=strategy,
-                         clock=clock)
+                         seed=cand_seed, n_trials=n_trials, clock=clock)
             model, _ = train(family, tuned.best_params, X_train, y_train,
                              n_classes, budget, seed=cand_seed, clock=clock)
             train_time = time.perf_counter() - started  # tuning included

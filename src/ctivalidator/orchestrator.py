@@ -15,13 +15,14 @@ The flow for one validation request:
    is notified.
 
 Identical requirements arriving concurrently share a single build
-(single-flight); the registry itself is safe for concurrent readers and
-serialized writers and survives restarts.
+(single-flight).  The registry keeps one model file per key, survives
+restarts and is safe for threads and processes sharing one root.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import fcntl
 import hashlib
 import json
 import logging
@@ -50,8 +51,6 @@ from .learners import (
 )
 
 logger = logging.getLogger(__name__)
-
-_REGISTRY_FORMAT_VERSION = "1"
 
 # Notification channels
 SECURITY_TEAM = "security-team"
@@ -265,100 +264,82 @@ class Notifier:
 class ModelRegistry:
     """Persistent requirement-key -> best-model store.
 
-    Layout: ``<root>/index.json`` plus one ``models/<key-id>/model.json``
-    per requirement key.  Writes are atomic (tmp + rename) and serialized;
-    lookups are served from an in-memory mirror of the index, so many
-    readers can proceed while one writer updates.  Registration keeps the
-    stored F1 monotonically non-decreasing per key: a candidate with a
-    lower F1 than the incumbent is refused.
+    Layout: one ``models/<key-id>/model.json`` per requirement key.  The
+    model document carries its own key, F1, family and scheme, so the model
+    files are the registry's only record; an index file left by the older
+    layout is ignored.  Registration holds an exclusive POSIX
+    ``flock`` on ``models/<key-id>/lock`` while it compares against the
+    stored model and writes tmp + rename, so threads and processes sharing
+    a root never lose each other's models.  The stored F1 is monotonically
+    non-decreasing per key: a candidate with a lower F1 than the incumbent
+    is refused, an equal one replaces it.
+
+    Lookups are served from an in-process cache while the cached model
+    clears the asked bar; otherwise the file is read again, because another
+    process may have stored a better model since.
     """
 
     def __init__(self, root):
         self.root = Path(root)
-        self._lock = threading.RLock()
-        self._entries: dict[str, dict] = {}
+        # key -> model, unlocked: a lookup refilling a key from disk may
+        # replace a newer entry, which is harmless because every entry was
+        # stored for its key and every hit is checked against its bar.
         self._cache: dict[str, TrainedModel] = {}
         self.root.mkdir(parents=True, exist_ok=True)
-        self._load_index()
 
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
-
-    def _load_index(self) -> None:
-        path = self._index_path()
-        if not path.exists():
-            return
+    def _read(self, path: Path) -> TrainedModel | None:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StorageError(f"cannot read registry index {path}: {exc}") from exc
-        if doc.get("format_version") != _REGISTRY_FORMAT_VERSION:
-            raise StorageError(f"unsupported registry format in {path}")
-        self._entries = dict(doc.get("entries", {}))
-
-    def _write_index(self) -> None:
-        doc = {"format_version": _REGISTRY_FORMAT_VERSION, "entries": self._entries}
-        tmp = self._index_path().with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        tmp.replace(self._index_path())
+            return TrainedModel.load(path)
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StorageError(f"cannot read model {path}: {exc}") from exc
 
     def lookup(self, key: str, confidence: float) -> TrainedModel | None:
         """Fetch the stored model for a key if it clears the confidence bar."""
-        key_id = _key_id(key)
-        with self._lock:
-            entry = self._entries.get(key_id)
-            if entry is None or entry.get("key") != key:
-                return None
-            if entry["f1"] < confidence:
-                return None  # stored model exists but is not good enough
-            model = self._cache.get(key_id)
-            if model is None:
-                model_path = self.root / entry["path"]
-                try:
-                    model = TrainedModel.load(model_path)
-                except OSError as exc:
-                    raise StorageError(f"cannot read model {model_path}: {exc}") from exc
-                self._cache[key_id] = model
+        model = self._cache.get(key)
+        if model is not None and model.f1 >= confidence:
             return model
+        model = self._read(self.root / "models" / _key_id(key) / "model.json")
+        if model is None or model.requirement_key != key:
+            return None
+        self._cache[key] = model
+        return model if model.f1 >= confidence else None
 
     def register(self, key: str, model: TrainedModel) -> bool:
         """Store a model for a key; last writer wins unless it is worse."""
-        key_id = _key_id(key)
-        with self._lock:
-            entry = self._entries.get(key_id)
-            if entry is not None and entry["f1"] > model.f1:
-                return False
-            model_dir = self.root / "models" / key_id
+        if model.requirement_key != key:
+            raise ContractError(f"model built for {model.requirement_key!r} "
+                                f"cannot be stored under {key!r}")
+        model_dir = self.root / "models" / _key_id(key)
+        model_path = model_dir / "model.json"
+        try:
             model_dir.mkdir(parents=True, exist_ok=True)
-            model_path = model_dir / "model.json"
-            tmp = model_dir / "model.json.tmp"
-            try:
+            with open(model_dir / "lock", "ab") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)  # released when closed
+                stored = self._read(model_path)
+                if stored is not None and stored.f1 > model.f1:
+                    return False
+                tmp = model_dir / "model.json.tmp"
                 model.save(tmp)
                 tmp.replace(model_path)
-            except OSError as exc:
-                raise StorageError(f"cannot write model for {key}: {exc}") from exc
-            self._entries[key_id] = {
-                "key": key,
-                "f1": model.f1,
-                "family": model.family,
-                "scheme": model.scheme,
-                "path": str(model_path.relative_to(self.root)),
-                "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-            }
-            self._cache[key_id] = model
-            self._write_index()
-            return True
+                self._cache[key] = model
+        except OSError as exc:
+            raise StorageError(f"cannot write model for {key}: {exc}") from exc
+        return True
 
     def entries(self) -> list[dict]:
-        with self._lock:
-            return [dict(e, key_id=k) for k, e in sorted(self._entries.items())]
+        entries = []
+        for path in sorted(self.root.glob("models/*/model.json")):
+            model = self._read(path)
+            entries.append({
+                "key_id": path.parent.name, "key": model.requirement_key,
+                "f1": model.f1, "family": model.family, "scheme": model.scheme,
+                "path": str(path.relative_to(self.root))})
+        return entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return sum(1 for _ in self.root.glob("models/*/model.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +469,9 @@ class Orchestrator:
                 owner = True
             else:
                 owner = False
-                self.stats.flight_joins += 1
         if not owner:
+            with self._stats_lock:
+                self.stats.flight_joins += 1
             flight.event.wait()
             if flight.error is not None:
                 raise flight.error

@@ -248,7 +248,7 @@ class TestBuildAndValidate:
         code = cli.main(["build", "--dataset", str(dataset), "--requirement",
                          str(requirement), "--seed", "7"])
         assert code == cli.EXIT_OK
-        assert (registry / "index.json").exists()
+        assert len(list(registry.glob("models/*/model.json"))) == 1
         capsys.readouterr()
         code = cli.main(["registry-list", "--registry", str(registry),
                          "--json"])

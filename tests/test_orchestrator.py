@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import multiprocessing
 import threading
 
 import pytest
@@ -125,25 +127,45 @@ def banded_model():
     return build_model(banded_dataset(), ("timestamp", "port"), "attack")
 
 
+@pytest.fixture(scope="module")
+def noisy_model():
+    return build_model(noisy_dataset(), ("domain",), "attack")
+
+
+def for_key(model, key):
+    """The model as the orchestrator would build it for ``key``."""
+    return dataclasses.replace(model, requirement_key=key)
+
+
+def register_keys(root, model_path, prefix, n_keys, barrier):
+    """Worker: open the registry, wait for the others, register n keys."""
+    model = learners.TrainedModel.load(model_path)
+    registry = O.ModelRegistry(root)
+    barrier.wait(timeout=120)
+    for i in range(n_keys):
+        registry.register(f"{prefix}-{i}", for_key(model, f"{prefix}-{i}"))
+
+
 class TestRegistry:
     def test_register_then_lookup(self, tmp_path, banded_model):
         reg = O.ModelRegistry(tmp_path)
-        assert reg.register("key1", banded_model)
+        assert reg.register("key1", for_key(banded_model, "key1"))
         hit = reg.lookup("key1", confidence=0.5)
         assert hit is not None
         assert hit.f1 == banded_model.f1
         assert len(reg) == 1
 
     def test_survives_restart(self, tmp_path, banded_model):
-        O.ModelRegistry(tmp_path).register("key1", banded_model)
+        model = for_key(banded_model, "key1")
+        O.ModelRegistry(tmp_path).register("key1", model)
         reopened = O.ModelRegistry(tmp_path)
         hit = reopened.lookup("key1", confidence=0.5)
         assert hit is not None
-        assert hit.canonical_bytes() == banded_model.canonical_bytes()
+        assert hit.canonical_bytes() == model.canonical_bytes()
 
     def test_lookup_respects_confidence_gate(self, tmp_path, banded_model):
         reg = O.ModelRegistry(tmp_path)
-        reg.register("key1", banded_model)
+        reg.register("key1", for_key(banded_model, "key1"))
         assert banded_model.f1 < 0.99
         assert reg.lookup("key1", confidence=0.99) is None
         assert reg.lookup("key1", confidence=banded_model.f1) is not None
@@ -151,29 +173,84 @@ class TestRegistry:
     def test_unknown_key_misses(self, tmp_path):
         assert O.ModelRegistry(tmp_path).lookup("nope", confidence=0.1) is None
 
-    def test_worse_candidate_refused(self, tmp_path, banded_model):
+    def test_worse_candidate_refused(self, tmp_path, banded_model, noisy_model):
         reg = O.ModelRegistry(tmp_path)
-        reg.register("key1", banded_model)
-        worse = build_model(noisy_dataset(), ("domain",), "attack")
-        assert worse.f1 < banded_model.f1
-        assert not reg.register("key1", worse)
+        reg.register("key1", for_key(banded_model, "key1"))
+        assert noisy_model.f1 < banded_model.f1
+        assert not reg.register("key1", for_key(noisy_model, "key1"))
         assert reg.lookup("key1", 0.0).f1 == banded_model.f1
 
-    def test_equal_or_better_candidate_replaces(self, tmp_path, banded_model):
+    def test_equal_or_better_candidate_replaces(self, tmp_path, banded_model,
+                                                noisy_model):
         reg = O.ModelRegistry(tmp_path)
-        worse = build_model(noisy_dataset(), ("domain",), "attack")
-        reg.register("key1", worse)
-        assert reg.register("key1", banded_model)  # strictly better
+        reg.register("key1", for_key(noisy_model, "key1"))
+        assert reg.register("key1", for_key(banded_model, "key1"))  # strictly better
         assert reg.lookup("key1", 0.0).f1 == banded_model.f1
         # equal score: last writer wins
-        assert reg.register("key1", banded_model)
+        assert reg.register("key1", for_key(banded_model, "key1"))
 
     def test_separate_keys_coexist(self, tmp_path, banded_model):
         reg = O.ModelRegistry(tmp_path)
-        reg.register("key1", banded_model)
-        reg.register("key2", banded_model)
+        reg.register("key1", for_key(banded_model, "key1"))
+        reg.register("key2", for_key(banded_model, "key2"))
         assert len(reg) == 2
         assert {e["key"] for e in reg.entries()} == {"key1", "key2"}
+
+    def test_register_rejects_model_built_for_another_key(self, tmp_path,
+                                                          banded_model):
+        reg = O.ModelRegistry(tmp_path)
+        with pytest.raises(ContractError):
+            reg.register("key1", for_key(banded_model, "key2"))
+        assert len(reg) == 0
+
+    def test_lookup_sees_better_model_from_another_registry(
+            self, tmp_path, banded_model, noisy_model):
+        a = O.ModelRegistry(tmp_path)
+        a.register("key1", for_key(noisy_model, "key1"))
+        assert a.lookup("key1", noisy_model.f1) is not None  # cached in a
+        better = for_key(banded_model, "key1")
+        assert O.ModelRegistry(tmp_path).register("key1", better)
+        hit = a.lookup("key1", banded_model.f1)
+        assert hit is not None
+        assert hit.canonical_bytes() == better.canonical_bytes()
+
+    def test_processes_sharing_a_root_keep_every_key(self, tmp_path,
+                                                     banded_model):
+        model_path = tmp_path / "model.json"
+        banded_model.save(model_path)
+        root = tmp_path / "registry"
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        workers = [ctx.Process(target=register_keys,
+                               args=(root, model_path, prefix, 20, barrier),
+                               daemon=True)
+                   for prefix in ("a", "b")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [w.exitcode for w in workers] == [0, 0]
+        reopened = O.ModelRegistry(root)
+        expected = {f"{p}-{i}" for p in ("a", "b") for i in range(20)}
+        assert {e["key"] for e in reopened.entries()} == expected
+        assert len(reopened) == 40
+        assert all(reopened.lookup(key, 0.0) is not None for key in expected)
+
+    def test_root_with_old_index_json_serves_its_models(self, tmp_path,
+                                                        banded_model):
+        model = for_key(banded_model, "key1")
+        O.ModelRegistry(tmp_path).register("key1", model)
+        [entry] = O.ModelRegistry(tmp_path).entries()
+        index = {"format_version": "1", "entries": {entry["key_id"]: {
+            "key": "key1", "f1": model.f1, "family": model.family,
+            "scheme": model.scheme, "path": entry["path"],
+            "created_at": "2026-01-01T00:00:00+00:00"}}}
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        reopened = O.ModelRegistry(tmp_path)
+        assert len(reopened) == 1
+        assert [e["key"] for e in reopened.entries()] == ["key1"]
+        hit = reopened.lookup("key1", confidence=0.5)
+        assert hit.canonical_bytes() == model.canonical_bytes()
 
 
 class TestNotifier:
