@@ -1,13 +1,13 @@
-"""Time the split-scan kernels across backends and check they agree.
+"""Time the batched split-scan kernels against the sequential reference.
 
-The tree learners spend most of their time scanning sorted feature
-columns for the best split.  That scan ships in three interchangeable
-implementations (numba, numpy, python); `CTIVALIDATOR_NUMBA=0` forces
-the numpy fallback at import time.  This script times all available
-backends on identical inputs and verifies bit-identical results, so the
-fallback can be trusted whenever numba is absent.
+The tree learners spend most of their time scanning sorted feature columns
+for the best split.  One kernel call scans a whole (rows x columns) block;
+the sequential python kernels scan one column at a time and are the
+reference the batched kernels must match bit for bit.  This script times
+both on identical blocks and exits non-zero on any disagreement in
+(score, column, position).
 
-Run:  python3 benchmarks/bench_kernels.py [--sizes 1000,10000,100000]
+Run:  python3 benchmarks/bench_kernels.py [--shapes 1000x8,200x300]
 """
 
 import argparse
@@ -27,57 +27,77 @@ def time_call(fn, args, repeats):
     return best
 
 
-def classification_inputs(n, rng):
-    values = np.sort(rng.normal(size=n).round(3))
-    codes = rng.integers(0, 4, size=n).astype(np.int64)
-    return values, codes, 4, 1
+def sorted_block(rows, columns, rng):
+    return np.sort(rng.normal(size=(rows, columns)).round(1), axis=0)
 
 
-def regression_inputs(n, rng):
-    values = np.sort(rng.normal(size=n).round(3))
-    grad = rng.normal(size=n)
-    hess = np.abs(rng.normal(size=n)) + 0.5
-    return values, grad, hess, 1.0, 1
+def classification_inputs(rows, columns, rng):
+    codes = rng.integers(0, 4, size=(rows, columns)).astype(np.int64)
+    return sorted_block(rows, columns, rng), codes, 4, 1
+
+
+def regression_inputs(rows, columns, rng):
+    grad = rng.normal(size=(rows, columns))
+    hess = np.abs(rng.normal(size=(rows, columns))) + 0.5
+    return sorted_block(rows, columns, rng), grad, hess, 1.0, 1
+
+
+def classification_reference(values, codes, n_classes, min_leaf):
+    """The sequential kernel column by column; strict > keeps the earliest."""
+    best = (-1.0, -1, -1)
+    for j in range(values.shape[1]):
+        score, pos = _kernels._split_class_seq(values[:, j], codes[:, j],
+                                               n_classes, min_leaf)
+        if pos >= 0 and score > best[0]:
+            best = (float(score), j, int(pos))
+    return best
+
+
+def regression_reference(values, grad, hess, lam, min_leaf):
+    best = (-np.inf, -1, -1)
+    for j in range(values.shape[1]):
+        score, pos = _kernels._split_reg_seq(values[:, j], grad[:, j],
+                                             hess[:, j], lam, min_leaf)
+        if pos >= 0 and score > best[0]:
+            best = (float(score), j, int(pos))
+    return best
+
+
+KERNELS = (
+    ("classification", classification_inputs,
+     _kernels.best_split_classification, classification_reference),
+    ("regression", regression_inputs,
+     _kernels.best_split_regression, regression_reference),
+)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="1000,10000,100000",
-                        help="comma list of column lengths to scan")
+    parser.add_argument("--shapes", default="1000x8,200x300,60x1000",
+                        help="comma list of ROWSxCOLUMNS blocks to scan")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repetitions (best of N)")
     args = parser.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    shapes = [tuple(int(x) for x in s.split("x")) for s in args.shapes.split(",") if s]
 
-    impls = _kernels.implementations()
-    print(f"selected backend: {_kernels.BACKEND} (numba available: "
-          f"{_kernels.HAS_NUMBA})")
-    print(f"{'kernel':<16}{'n':>9}" +
-          "".join(f"{name:>12}" for name in impls) + "   agreement")
-
+    print(f"{'kernel':<16}{'block':>12}{'batched':>12}{'python':>12}   agreement")
     rng = np.random.default_rng(12345)
-    for kind, make_inputs in (("classification", classification_inputs),
-                              ("regression", regression_inputs)):
-        for n in sizes:
-            inputs = make_inputs(n, rng)
-            results = {}
-            timings = {}
-            for name, impl in impls.items():
-                fn = impl[kind]
-                fn(*inputs)  # warm-up (numba compiles on first call)
-                timings[name] = time_call(fn, inputs, args.repeats)
-                score, position = fn(*inputs)
-                results[name] = (float(score), int(position))
-            agree = len(set(results.values())) == 1
-            row = f"{kind:<16}{n:>9}"
-            for name in impls:
-                row += f"{timings[name] * 1e3:>10.3f}ms"
-            print(row + ("   identical" if agree else "   MISMATCH " +
-                         repr(results)))
+    for kind, make_inputs, batched, reference in KERNELS:
+        for rows, columns in shapes:
+            inputs = make_inputs(rows, columns, rng)
+            got = tuple(batched(*inputs)[:3])
+            want = reference(*inputs)
+            fast = time_call(batched, inputs, args.repeats)
+            slow = time_call(reference, inputs, 1)
+            agree = got == want
+            print(f"{kind:<16}{f'{rows}x{columns}':>12}{fast * 1e3:>10.3f}ms"
+                  f"{slow * 1e3:>10.1f}ms   " +
+                  ("identical" if agree else f"MISMATCH {got} != {want}"))
             if not agree:
                 raise SystemExit(1)
 
-    print("\nbackends returned identical (score, position) on every input.")
+    print("\nbatched kernels returned the reference (score, column, position) "
+          "on every block.")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,14 @@ Exit codes: 0 success; 2 contract/format/configuration problems; 3 the
 dataset cannot support the requirement (no data); 4 the best model missed
 the confidence bar; 5 every candidate timed out.
 
-Environment: CTIVALIDATOR_REGISTRY sets the default registry root;
-CTIVALIDATOR_NUMBA=0 forces the pure-numpy kernel backend.
+Environment: CTIVALIDATOR_REGISTRY sets the default registry root.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -62,14 +62,10 @@ def _load_requirement(raw: str, confidence: float | None) -> orchestrator.Requir
     """
     path = Path(raw)
     text = path.read_text(encoding="utf-8") if path.is_file() else raw.replace(";", "\n")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = orchestrator._parse_kv_lines(text)
+    requirement = orchestrator.interpret(text)
     if confidence is not None:
-        doc = dict(doc)
-        doc["confidence"] = confidence
-    return orchestrator.interpret(doc)
+        requirement = dataclasses.replace(requirement, confidence=confidence)
+    return requirement
 
 
 def _load_alerts(path: Path) -> list[dict]:

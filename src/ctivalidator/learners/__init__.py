@@ -1,6 +1,5 @@
 """Prediction-model building: algorithm families, tuning and selection."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND, HAS_NUMBA
 from .algorithms import (
     FAMILIES,
     OPTIONAL_TIER,
@@ -32,6 +31,10 @@ from .training import (
     train,
     tune,
 )
+
+# Run metadata: the split kernels are numpy and there is no compiled backend.
+KERNEL_BACKEND = "numpy"
+HAS_NUMBA = False
 
 __all__ = [
     "BudgetClock",

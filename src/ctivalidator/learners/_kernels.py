@@ -1,38 +1,27 @@
-"""Hot split-search kernels with a numba backend and a numpy fallback.
+"""Split-search kernels: one call scans a block of sorted feature columns.
 
-Tree building spends almost all of its time scanning sorted feature columns
-for the best cut point.  Two interchangeable backends implement that scan:
+Tree building spends almost all of its time looking for the best cut point
+in the candidate feature columns of a node.  Each kernel takes a
+``(rows x columns)`` block whose columns are each sorted ascending and
+scans every column at once with prefix sums.  It returns
+``(best_score, best_column, best_pos)`` where the cut separates rows
+``[0..pos]`` from ``[pos+1..]`` of that column; ``pos == -1`` means no
+valid split exists.  Score ties go to the earliest column, then the earliest
+position.
 
-* ``numba`` — sequential loops compiled with ``@njit`` (default when numba
-  imports successfully);
-* ``numpy`` — vectorized prefix-sum formulation.
-
-Set ``CTIVALIDATOR_NUMBA=0`` (or ``false``/``off``/``no``) to force the
-numpy path.  The two backends are written to agree bit-for-bit: class
-counts accumulate in int64 (exact, order-independent), every per-split
-score is produced by the same short float64 expression, and both sides
-resolve score ties to the earliest split position.
-
-Kernels take columns already sorted ascending.  They return
-``(best_score, best_pos)`` where the cut separates ``[0..pos]`` from
-``[pos+1..]``; ``pos == -1`` means no valid split exists.
+The sequential ``_split_*_seq`` functions scan one column with plain loops.
+They are the reference the tests hold the kernels to, and the kernels agree
+with them bit for bit: class counts accumulate in int64 (exact,
+order-independent), gradient prefix sums accumulate row by row in the loop's
+order, and every per-split score is the same short float64 expression.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "CTIVALIDATOR_NUMBA"
-_DISABLED_VALUES = ("0", "false", "off", "no")
 
-
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in _DISABLED_VALUES
-
-
-# --- sequential formulation (compiled by numba when available) -------------
+# --- sequential reference (one column) --------------------------------------
 
 
 def _split_class_seq(values, codes, n_classes, min_leaf):
@@ -94,96 +83,67 @@ def _split_reg_seq(values, grad, hess, lam, min_leaf):
     return best_score, best_pos
 
 
-# --- vectorized numpy formulation ------------------------------------------
+# --- batched kernels (a block of columns) -----------------------------------
 
 
-def _split_class_vec(values, codes, n_classes, min_leaf):
-    n = values.shape[0]
-    if n < 2:
-        return -1.0, -1
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), codes] = 1
-    prefix = np.cumsum(onehot, axis=0)
-    total = prefix[-1]
-    left = prefix[:-1]
-    right = total[None, :] - left
-    nl = np.arange(1, n, dtype=np.int64)
-    nr = np.int64(n) - nl
-    sl = np.einsum("ij,ij->i", left, left)  # int64: exact regardless of order
-    sr = np.einsum("ij,ij->i", right, right)
-    score = sl / nl + sr / nr
-    valid = (values[1:] != values[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return -1.0, -1
+def _valid_cuts(values, min_leaf):
+    """(n-1, m) mask of cuts between distinct values with both sides >= min_leaf."""
+    valid = values[1:] != values[:-1]
+    if min_leaf > 1:
+        valid[:min_leaf - 1] = False
+        valid[max(values.shape[0] - min_leaf, 0):] = False
+    return valid
+
+
+def _argmax_by_column(score, valid):
+    """First valid maximum, column by column: ``(score, column, pos)``."""
     score = np.where(valid, score, -np.inf)
-    pos = int(np.argmax(score))  # first maximum, matching the strict > loop
-    return float(score[pos]), pos
+    column, pos = divmod(int(score.T.argmax()), score.shape[0])
+    return float(score[pos, column]), column, pos
 
 
-def _split_reg_vec(values, grad, hess, lam, min_leaf):
+# Numpy's function wrappers cost more than the arithmetic on the small blocks
+# of deep nodes, so the kernels call array methods and ufuncs directly.
+
+
+def best_split_classification(values, codes, n_classes, min_leaf):
+    """Best Gini cut over a block, with the int64 class counts on each side.
+
+    Returns ``(score, column, pos, left_counts, right_counts)``; the counts
+    are zeros when ``pos == -1``.
+    """
     n = values.shape[0]
-    if n < 2:
-        return -np.inf, -1
-    # np.cumsum accumulates left-to-right, the same op order as the loop.
-    cg = np.cumsum(grad)
-    ch = np.cumsum(hess)
-    g_total = cg[-1]
-    h_total = ch[-1]
+    if n >= 2:
+        valid = _valid_cuts(values, min_leaf)
+        onehot = (codes[:, :, None] == np.arange(n_classes)).astype(np.int64)
+        prefix = np.add.accumulate(onehot, axis=0)  # (n, m, n_classes)
+        left = prefix[:-1]
+        right = prefix[-1] - left
+        sl = np.einsum("ijk,ijk->ij", left, left)  # int64: exact in any order
+        sr = np.einsum("ijk,ijk->ij", right, right)
+        nl = np.arange(1, n, dtype=np.int64)[:, None]
+        score, column, pos = _argmax_by_column(sl / nl + sr / nl[::-1], valid)
+        if score > -np.inf:
+            left_counts = prefix[pos, column].copy()  # a view would pin prefix
+            return score, column, pos, left_counts, prefix[-1, column] - left_counts
+    empty = np.zeros(n_classes, dtype=np.int64)
+    return -1.0, -1, -1, empty, empty.copy()
+
+
+def best_split_regression(values, grad, hess, lam, min_leaf):
+    """Best Newton-gain cut over a block: ``(score, column, pos)``."""
+    if values.shape[0] < 2:
+        return -np.inf, -1, -1
+    valid = _valid_cuts(values, min_leaf)
+    # accumulate adds row by row, the same op order as the loop.
+    cg = np.add.accumulate(grad, axis=0)
+    ch = np.add.accumulate(hess, axis=0)
     gl = cg[:-1]
     hl = ch[:-1]
-    gr = g_total - gl
-    hr = h_total - hl
-    nl = np.arange(1, n, dtype=np.int64)
-    nr = np.int64(n) - nl
-    score = gl * gl / (hl + lam) + gr * gr / (hr + lam)
-    valid = (values[1:] != values[:-1]) & (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return -np.inf, -1
-    score = np.where(valid, score, -np.inf)
-    pos = int(np.argmax(score))
-    return float(score[pos]), pos
-
-
-# --- backend selection ------------------------------------------------------
-
-HAS_NUMBA = False
-_numba_class = None
-_numba_reg = None
-try:  # pragma: no cover - exercised only where numba is installed
-    if _numba_requested():
-        from numba import njit
-
-        _numba_class = njit(cache=True, nogil=True)(_split_class_seq)
-        _numba_reg = njit(cache=True, nogil=True)(_split_reg_seq)
-        HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-    BACKEND = "numba"
-    best_split_classification = _numba_class
-    best_split_regression = _numba_reg
-else:
-    BACKEND = "numpy"
-    best_split_classification = _split_class_vec
-    best_split_regression = _split_reg_vec
-
-
-def implementations() -> dict[str, dict]:
-    """All importable backend implementations, for tests and benchmarks."""
-    out = {
-        "numpy": {
-            "classification": _split_class_vec,
-            "regression": _split_reg_vec,
-        },
-        "python": {
-            "classification": _split_class_seq,
-            "regression": _split_reg_seq,
-        },
-    }
-    if HAS_NUMBA:
-        out["numba"] = {
-            "classification": _numba_class,
-            "regression": _numba_reg,
-        }
-    return out
+    gr = cg[-1] - gl
+    hr = ch[-1] - hl
+    score, column, pos = _argmax_by_column(
+        gl * gl / (hl + lam) + gr * gr / (hr + lam), valid)
+    if score == -np.inf:
+        return -np.inf, -1, -1
+    return score, column, pos

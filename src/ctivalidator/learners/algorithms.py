@@ -71,17 +71,25 @@ class _Tree:
                      ("feature", "threshold", "left", "right", "leaf")))
 
 
+# Cap on rows x columns per split-kernel call.  The kernels' prefix-sum
+# temporaries grow with the block, so on wide matrices an uncapped node would
+# hold several int64 copies of its whole candidate sub-matrix at once.
+_BLOCK_CELLS = 65_536
+
+
 class _TreeBuilder:
     """Grows one axis-aligned tree depth-first (left child first).
 
-    Split candidates are scanned by the kernel backend; features are
-    visited in ascending index order and score ties keep the earliest
-    (feature, position), which makes the structure reproducible across
-    backends.
+    Each node gathers its candidate feature columns, drops those constant
+    over its rows, sorts the rest once and scans them with one kernel call
+    per block of columns.  Score ties keep the earliest (feature, position),
+    so the tree does not depend on how the columns are blocked.  A node
+    carries ``stats`` from its parent's split (class counts for Gini trees)
+    so that it does not recount its rows.
     """
 
     def __init__(self, X, max_depth, min_leaf, n_sub=None, rng=None, clock=None):
-        self.X = X
+        self.X = np.asarray(X, dtype=np.float64)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.n_sub = n_sub
@@ -110,32 +118,29 @@ class _TreeBuilder:
 
     def build(self, idx: np.ndarray) -> "_Tree":
         root = self._new_node()
-        stack = [(root, idx, 0)]
+        stack = [(root, idx, 0, self._root_stats(idx))]
         width = self.X.shape[1]
         while stack:
-            node, rows, depth = stack.pop()
+            node, rows, depth, stats = stack.pop()
             if self.clock is not None:
                 self.clock.check()
             split = None
             if depth < self.max_depth and rows.shape[0] >= 2 * self.min_leaf \
-                    and not self._is_pure(rows):
-                split = self._best_split(rows, self._candidates(width))
+                    and not self._is_pure(stats):
+                split = self._best_split(rows, stats, self._candidates(width))
             if split is None:
-                self.leaf[node] = self._leaf_value(rows)
+                self.leaf[node] = self._leaf_value(rows, stats)
                 continue
-            feat, pos, order = split
-            col = self.X[rows, feat]
-            values = col[order]
-            self.feature[node] = int(feat)
-            self.threshold[node] = (values[pos] + values[pos + 1]) / 2.0
-            sorted_rows = rows[order]
+            feat, threshold, sorted_rows, pos, (left_stats, right_stats) = split
+            self.feature[node] = feat
+            self.threshold[node] = threshold
             left_node = self._new_node()
             right_node = self._new_node()
             self.left[node] = left_node
             self.right[node] = right_node
             # push right first so the left subtree is built first
-            stack.append((right_node, sorted_rows[pos + 1:], depth + 1))
-            stack.append((left_node, sorted_rows[:pos + 1], depth + 1))
+            stack.append((right_node, sorted_rows[pos + 1:], depth + 1, right_stats))
+            stack.append((left_node, sorted_rows[:pos + 1], depth + 1, left_stats))
         leaf_dtype = np.int64 if isinstance(self.leaf[0], (int, np.integer)) else np.float64
         return _Tree(
             feature=np.asarray(self.feature, dtype=np.int64),
@@ -145,32 +150,60 @@ class _TreeBuilder:
             leaf=np.asarray(self.leaf, dtype=leaf_dtype),
         )
 
-    def _best_split(self, rows, candidates):
-        best_score = self._parent_score(rows)
+    def _best_split(self, rows, stats, candidates):
+        if candidates.shape[0] == self.X.shape[1]:  # every column: rows only
+            sub = self.X.take(rows, axis=0)
+        else:
+            sub = self.X[rows[:, None], candidates]
+        varies = (sub != sub[0]).any(axis=0)  # a constant column has no cut
+        if not varies.all():
+            candidates = candidates[varies]
+            sub = sub[:, varies]
+        n, m = sub.shape
+        if m == 0:
+            return None
+        order = sub.argsort(axis=0, kind="stable")
+        targets = self._targets(rows)
+        step = max(1, _BLOCK_CELLS // n)
+        best_score = self._parent_score(rows, stats)
         best = None
-        for feat in candidates:
-            col = np.ascontiguousarray(self.X[rows, feat], dtype=np.float64)
-            order = np.argsort(col, kind="stable")
-            score, pos = self._kernel(col[order], rows, order)
+        for start in range(0, m, step):
+            block = order[:, start:start + step]
+            values = sub[block, np.arange(start, start + block.shape[1])]
+            score, column, pos, child_stats = self._kernel(values, block, targets)
             if pos >= 0 and score > best_score:
                 best_score = score
-                best = (int(feat), int(pos), order)
-        return best
+                best = (start + column, pos, child_stats)
+        if best is None:
+            return None
+        j, pos, child_stats = best
+        col_order = order[:, j]
+        values = sub[col_order, j]
+        threshold = (values[pos] + values[pos + 1]) / 2.0
+        return int(candidates[j]), threshold, rows[col_order], pos, child_stats
 
     # subclass hooks
     def _leaf_zero(self):
         raise NotImplementedError
 
-    def _is_pure(self, rows) -> bool:
+    def _root_stats(self, rows):
         raise NotImplementedError
 
-    def _parent_score(self, rows) -> float:
+    def _is_pure(self, stats) -> bool:
         raise NotImplementedError
 
-    def _kernel(self, values, rows, order):
+    def _parent_score(self, rows, stats) -> float:
         raise NotImplementedError
 
-    def _leaf_value(self, rows):
+    def _targets(self, rows):
+        """Per-row training targets of the node, in ``rows`` order."""
+        raise NotImplementedError
+
+    def _kernel(self, values, order, targets):
+        """Scan a sorted block: ``(score, column, pos, (left, right) stats)``."""
+        raise NotImplementedError
+
+    def _leaf_value(self, rows, stats):
         raise NotImplementedError
 
 
@@ -183,23 +216,25 @@ class _GiniTreeBuilder(_TreeBuilder):
     def _leaf_zero(self):
         return 0
 
-    def _counts(self, rows) -> np.ndarray:
+    def _root_stats(self, rows):
         return np.bincount(self.codes[rows], minlength=self.n_classes).astype(np.int64)
 
-    def _is_pure(self, rows) -> bool:
-        return bool((self._counts(rows) > 0).sum() <= 1)
+    def _is_pure(self, stats) -> bool:
+        return np.count_nonzero(stats) <= 1
 
-    def _parent_score(self, rows) -> float:
-        counts = self._counts(rows)
-        return float(int((counts * counts).sum()) / rows.shape[0])
+    def _parent_score(self, rows, stats) -> float:
+        return float(int(stats @ stats) / rows.shape[0])
 
-    def _kernel(self, values, rows, order):
-        codes = np.ascontiguousarray(self.codes[rows][order], dtype=np.int64)
-        return _kernels.best_split_classification(values, codes, self.n_classes,
-                                                  self.min_leaf)
+    def _targets(self, rows):
+        return self.codes[rows]
 
-    def _leaf_value(self, rows):
-        return int(np.argmax(self._counts(rows)))  # tie -> lowest code
+    def _kernel(self, values, order, targets):
+        score, column, pos, left, right = _kernels.best_split_classification(
+            values, targets[order], self.n_classes, self.min_leaf)
+        return score, column, pos, (left, right)
+
+    def _leaf_value(self, rows, stats):
+        return int(stats.argmax())  # tie -> lowest code
 
 
 class _NewtonTreeBuilder(_TreeBuilder):
@@ -212,21 +247,30 @@ class _NewtonTreeBuilder(_TreeBuilder):
     def _leaf_zero(self):
         return 0.0
 
-    def _is_pure(self, rows) -> bool:
+    # Newton nodes carry no stats.  Their totals stay np.sum over the node's
+    # rows: a prefix-sum total adds in another order and would change the
+    # leaf values' last bits.
+    def _root_stats(self, rows):
+        return None
+
+    def _is_pure(self, stats) -> bool:
         return False
 
-    def _parent_score(self, rows) -> float:
+    def _parent_score(self, rows, stats) -> float:
         g = float(np.sum(self.grad[rows]))
         h = float(np.sum(self.hess[rows]))
         return g * g / (h + self.lam)
 
-    def _kernel(self, values, rows, order):
-        grad = np.ascontiguousarray(self.grad[rows][order], dtype=np.float64)
-        hess = np.ascontiguousarray(self.hess[rows][order], dtype=np.float64)
-        return _kernels.best_split_regression(values, grad, hess, self.lam,
-                                              self.min_leaf)
+    def _targets(self, rows):
+        return self.grad[rows], self.hess[rows]
 
-    def _leaf_value(self, rows):
+    def _kernel(self, values, order, targets):
+        grad, hess = targets
+        score, column, pos = _kernels.best_split_regression(
+            values, grad[order], hess[order], self.lam, self.min_leaf)
+        return score, column, pos, (None, None)
+
+    def _leaf_value(self, rows, stats):
         g = float(np.sum(self.grad[rows]))
         h = float(np.sum(self.hess[rows]))
         return -g / (h + self.lam)

@@ -275,8 +275,9 @@ class ModelRegistry:
     is refused, an equal one replaces it.
 
     Lookups are served from an in-process cache while the cached model
-    clears the asked bar; otherwise the file is read again, because another
-    process may have stored a better model since.
+    clears the asked bar.  Otherwise the file is checked again, because
+    another process may have stored a better model since; it is decoded
+    only when it is not the file the cached model came from.
     """
 
     def __init__(self, root):
@@ -285,7 +286,21 @@ class ModelRegistry:
         # replace a newer entry, which is harmless because every entry was
         # stored for its key and every hit is checked against its bar.
         self._cache: dict[str, TrainedModel] = {}
+        # key -> stamp of the file the cached model was read from or written
+        # to.  A stamp that lags its model only costs one more decode.
+        self._stamps: dict[str, tuple[int, int, int]] = {}
         self.root.mkdir(parents=True, exist_ok=True)
+
+    @staticmethod
+    def _stamp(path: Path) -> tuple[int, int, int] | None:
+        """(inode, mtime, size): every register renames a new file into place."""
+        try:
+            st = path.stat()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StorageError(f"cannot read model {path}: {exc}") from exc
+        return st.st_ino, st.st_mtime_ns, st.st_size
 
     def _read(self, path: Path) -> TrainedModel | None:
         try:
@@ -300,10 +315,16 @@ class ModelRegistry:
         model = self._cache.get(key)
         if model is not None and model.f1 >= confidence:
             return model
-        model = self._read(self.root / "models" / _key_id(key) / "model.json")
-        if model is None or model.requirement_key != key:
+        path = self.root / "models" / _key_id(key) / "model.json"
+        stamp = self._stamp(path)  # taken before the read, so never newer
+        if stamp is None:
             return None
-        self._cache[key] = model
+        if model is None or self._stamps.get(key) != stamp:
+            model = self._read(path)
+            if model is None or model.requirement_key != key:
+                return None
+            self._cache[key] = model
+            self._stamps[key] = stamp
         return model if model.f1 >= confidence else None
 
     def register(self, key: str, model: TrainedModel) -> bool:
@@ -324,18 +345,29 @@ class ModelRegistry:
                 model.save(tmp)
                 tmp.replace(model_path)
                 self._cache[key] = model
+                self._stamps[key] = self._stamp(model_path)
         except OSError as exc:
             raise StorageError(f"cannot write model for {key}: {exc}") from exc
         return True
 
     def entries(self) -> list[dict]:
+        """One row per stored model, read from its document's plain fields.
+
+        The model payload is parsed as JSON but never decoded into a model.
+        """
         entries = []
         for path in sorted(self.root.glob("models/*/model.json")):
-            model = self._read(path)
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    doc = json.load(handle)
+            except FileNotFoundError:
+                continue  # removed since the scan
+            except OSError as exc:
+                raise StorageError(f"cannot read model {path}: {exc}") from exc
             entries.append({
-                "key_id": path.parent.name, "key": model.requirement_key,
-                "f1": model.f1, "family": model.family, "scheme": model.scheme,
-                "path": str(path.relative_to(self.root))})
+                "key_id": path.parent.name, "key": doc.get("requirement_key", ""),
+                "f1": doc["eval"]["f1"], "family": doc["family"],
+                "scheme": doc["scheme"], "path": str(path.relative_to(self.root))})
         return entries
 
     def __len__(self) -> int:

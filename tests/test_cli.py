@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ctivalidator import cli
+from ctivalidator.errors import ContractError
 
 from fixture_lib import PLANTED_WORDS
 
@@ -212,6 +213,13 @@ class TestBuildAndValidate:
                          str(requirement), "--registry",
                          str(tmp_path / "registry")])
         assert code == cli.EXIT_ERROR
+
+    def test_confidence_option_overrides_the_document(self):
+        text = "ob: domain, port; un: attack; confidence: 0.5"
+        assert cli._load_requirement(text, None).confidence == 0.5
+        assert cli._load_requirement(text, 0.9).confidence == 0.9
+        with pytest.raises(ContractError):
+            cli._load_requirement(text, 1.5)
 
     def test_inline_requirement_text(self, tmp_path):
         dataset = ingest_dataset(tmp_path)

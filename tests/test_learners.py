@@ -6,14 +6,14 @@ import types
 import numpy as np
 import pytest
 
-from ctivalidator import evaluation, ingest, learners
+from ctivalidator import evaluation, features, ingest, learners
 from ctivalidator.errors import (
     BudgetExceededError,
     ContractError,
     NoModelFoundError,
     SpecMismatchError,
 )
-from ctivalidator.learners import _kernels
+from ctivalidator.learners import _kernels, algorithms
 from ctivalidator.learners.algorithms import (
     GaussianNbModel,
     KnnModel,
@@ -22,56 +22,274 @@ from ctivalidator.learners.algorithms import (
     model_from_payload,
 )
 
-from fixture_lib import PlainRequirement, banded_dataset
+from fixture_lib import PlainRequirement, banded_dataset, noisy_dataset
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class TestKernelBackends:
-    """All three split kernels must agree bit-for-bit, ties included."""
+def seq_block_classification(values, codes, n_classes, min_leaf):
+    """The sequential kernel column by column; strict > keeps the earliest."""
+    best = (-1.0, -1, -1)
+    for j in range(values.shape[1]):
+        score, pos = _kernels._split_class_seq(values[:, j], codes[:, j],
+                                               n_classes, min_leaf)
+        if pos >= 0 and score > best[0]:
+            best = (float(score), j, int(pos))
+    return best
 
-    def cases(self):
-        r = np.random.default_rng(77)
-        cases = []
-        for _ in range(120):
-            n = r.integers(2, 60)
-            values = np.sort(r.choice([0.0, 1.0, 2.5, 2.5, 7.0], size=n))
-            codes = r.integers(0, 3, size=n).astype(np.int64)
-            cases.append((values, codes))
-        # hand-picked tie traps
-        cases.append((np.zeros(8), np.array([0, 1] * 4, dtype=np.int64)))
-        cases.append((np.ones(4), np.zeros(4, dtype=np.int64)))
-        return cases
+
+def seq_block_regression(values, grad, hess, lam, min_leaf):
+    best = (-np.inf, -1, -1)
+    for j in range(values.shape[1]):
+        score, pos = _kernels._split_reg_seq(values[:, j], grad[:, j],
+                                             hess[:, j], lam, min_leaf)
+        if pos >= 0 and score > best[0]:
+            best = (float(score), j, int(pos))
+    return best
+
+
+def tied_blocks(seed, count=150):
+    """Sorted column blocks with ties across positions and across columns."""
+    r = np.random.default_rng(seed)
+    blocks = []
+    for i in range(count):
+        n = int(r.integers(1, 40))
+        m = int(r.integers(1, 6))
+        values = np.sort(r.choice([0.0, 1.0, 2.5, 2.5, 7.0], size=(n, m)), axis=0)
+        if m > 1 and i % 3 == 0:
+            values[:, 1] = values[:, 0]  # duplicate column: an exact tie
+        if m > 2 and i % 5 == 0:
+            values[:, 2] = 1.0  # constant column: no valid cut
+        min_leaf = (1, 1, 2, 3)[i % 4]
+        blocks.append((values, min_leaf, r))
+    # hand-picked: two identical columns with mirror-image cuts (see below)
+    blocks.append((np.repeat(np.arange(8.0)[:, None], 2, axis=1), 1, r))
+    blocks.append((np.zeros((8, 2)), 1, r))
+    blocks.append((np.ones((4, 1)), 1, r))
+    blocks.append((np.array([[0.0], [1.0]]), 1, r))
+    blocks.append((np.array([[0.0, 0.0], [1.0, 1.0]]), 1, r))
+    blocks.append((np.array([[3.0]]), 1, r))
+    return blocks
+
+
+class TestKernelBackends:
+    """The batched kernels agree bit for bit with the sequential reference."""
 
     def test_classification_agreement(self):
-        impls = _kernels.implementations()
-        for values, codes in self.cases():
-            results = {name: impl["classification"](values, codes, 3, 1)
-                       for name, impl in impls.items()}
-            scores = {name: float(r[0]) for name, r in results.items()}
-            positions = {name: int(r[1]) for name, r in results.items()}
-            assert len(set(scores.values())) == 1, scores
-            assert len(set(positions.values())) == 1, positions
+        for values, min_leaf, r in tied_blocks(77):
+            codes = r.integers(0, 3, size=values.shape).astype(np.int64)
+            if values.shape[1] > 1:
+                codes[:, 1] = codes[:, 0]
+            if values.shape == (8, 2):  # cuts after rows 1 and 5 score the same
+                codes[:] = np.array([0, 0, 1, 1, 1, 1, 0, 0])[:, None]
+            score, column, pos, left, right = _kernels.best_split_classification(
+                values, codes, 3, min_leaf)
+            assert (score, column, pos) == seq_block_classification(
+                values, codes, 3, min_leaf)
+            if pos >= 0:
+                assert left.tolist() == np.bincount(
+                    codes[:pos + 1, column], minlength=3).tolist()
+                assert right.tolist() == np.bincount(
+                    codes[pos + 1:, column], minlength=3).tolist()
 
     def test_regression_agreement(self):
-        impls = _kernels.implementations()
-        r = np.random.default_rng(78)
-        for _ in range(120):
-            n = int(r.integers(2, 60))
-            values = np.sort(r.normal(size=n).round(1))
-            grad = r.normal(size=n)
-            hess = np.abs(r.normal(size=n)) + 0.5
-            results = {name: impl["regression"](values, grad, hess, 1.0, 1)
-                       for name, impl in impls.items()}
-            scores = {name: float(x[0]) for name, x in results.items()}
-            positions = {name: int(x[1]) for name, x in results.items()}
-            assert max(scores.values()) - min(scores.values()) < 1e-12
-            assert len(set(positions.values())) == 1
+        for values, min_leaf, r in tied_blocks(78):
+            grad = r.normal(size=values.shape)
+            hess = np.abs(r.normal(size=values.shape)) + 0.5
+            if values.shape[1] > 1:
+                grad[:, 1] = grad[:, 0]
+                hess[:, 1] = hess[:, 0]
+            result = _kernels.best_split_regression(values, grad, hess, 1.0, min_leaf)
+            assert result == seq_block_regression(values, grad, hess, 1.0, min_leaf)
+
+    def test_no_valid_cut(self):
+        for n in (1, 2, 5):
+            values = np.ones((n, 3))
+            codes = np.zeros((n, 3), dtype=np.int64)
+            assert _kernels.best_split_classification(values, codes, 2, 1)[2] == -1
+            assert _kernels.best_split_regression(values, values, values, 1.0, 1)[2] == -1
+        # two rows cannot both keep min_leaf=2
+        values = np.array([[0.0], [1.0]])
+        assert _kernels.best_split_regression(values, values, values, 1.0, 2)[2] == -1
 
     def test_backend_flag_is_reported(self):
-        assert _kernels.BACKEND in ("numba", "numpy", "python")
+        assert learners.KERNEL_BACKEND == "numpy"
+        assert learners.HAS_NUMBA is False
+
+
+class _ReferenceBuilder:
+    """Per-feature depth-first tree growth on the sequential kernels.
+
+    The same growth rules as ``algorithms._TreeBuilder``, written the plain
+    way: every candidate feature is sorted and scanned on its own, and a
+    later feature wins only with a strictly higher score.
+    """
+
+    def __init__(self, X, max_depth, min_leaf, n_sub=None, rng=None, clock=None):
+        self.X = X
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.n_sub = n_sub
+        self.rng = rng
+
+    def build(self, idx):
+        arrays = {"feature": [], "threshold": [], "left": [], "right": [], "leaf": []}
+
+        def new_node():
+            for name, value in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                                ("right", -1), ("leaf", self.leaf_zero)):
+                arrays[name].append(value)
+            return len(arrays["feature"]) - 1
+
+        stack = [(new_node(), idx, 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            split = None
+            if depth < self.max_depth and rows.shape[0] >= 2 * self.min_leaf \
+                    and not self.is_pure(rows):
+                split = self.best_split(rows)
+            if split is None:
+                arrays["leaf"][node] = self.leaf_value(rows)
+                continue
+            feat, pos, order = split
+            values = self.X[rows, feat][order]
+            arrays["feature"][node] = feat
+            arrays["threshold"][node] = (values[pos] + values[pos + 1]) / 2.0
+            left, right = new_node(), new_node()
+            arrays["left"][node], arrays["right"][node] = left, right
+            stack.append((right, rows[order][pos + 1:], depth + 1))
+            stack.append((left, rows[order][:pos + 1], depth + 1))
+        leaf_dtype = np.int64 if isinstance(self.leaf_zero, int) else np.float64
+        return algorithms._Tree(
+            np.asarray(arrays["feature"], dtype=np.int64),
+            np.asarray(arrays["threshold"], dtype=np.float64),
+            np.asarray(arrays["left"], dtype=np.int64),
+            np.asarray(arrays["right"], dtype=np.int64),
+            np.asarray(arrays["leaf"], dtype=leaf_dtype))
+
+    def best_split(self, rows):
+        width = self.X.shape[1]
+        if self.n_sub is None or self.n_sub >= width:
+            candidates = range(width)
+        else:
+            candidates = np.sort(self.rng.choice(width, size=self.n_sub, replace=False))
+        best_score, best = self.parent_score(rows), None
+        for feat in candidates:
+            col = self.X[rows, feat]
+            order = np.argsort(col, kind="stable")
+            score, pos = self.scan(col[order], rows[order])
+            if pos >= 0 and score > best_score:
+                best_score, best = score, (int(feat), int(pos), order)
+        return best
+
+
+class _ReferenceGini(_ReferenceBuilder):
+    leaf_zero = 0
+
+    def __init__(self, X, codes, n_classes, **kwargs):
+        super().__init__(X, **kwargs)
+        self.codes = codes
+        self.n_classes = n_classes
+
+    def counts(self, rows):
+        return np.bincount(self.codes[rows], minlength=self.n_classes)
+
+    def is_pure(self, rows):
+        return (self.counts(rows) > 0).sum() <= 1
+
+    def parent_score(self, rows):
+        counts = self.counts(rows)
+        return float(int((counts * counts).sum()) / rows.shape[0])
+
+    def scan(self, values, sorted_rows):
+        return _kernels._split_class_seq(values, self.codes[sorted_rows],
+                                         self.n_classes, self.min_leaf)
+
+    def leaf_value(self, rows):
+        return int(np.argmax(self.counts(rows)))
+
+
+class _ReferenceNewton(_ReferenceBuilder):
+    leaf_zero = 0.0
+
+    def __init__(self, X, grad, hess, lam, **kwargs):
+        super().__init__(X, **kwargs)
+        self.grad, self.hess, self.lam = grad, hess, float(lam)
+
+    def is_pure(self, rows):
+        return False
+
+    def parent_score(self, rows):
+        g, h = float(np.sum(self.grad[rows])), float(np.sum(self.hess[rows]))
+        return g * g / (h + self.lam)
+
+    def scan(self, values, sorted_rows):
+        return _kernels._split_reg_seq(values, self.grad[sorted_rows],
+                                       self.hess[sorted_rows], self.lam,
+                                       self.min_leaf)
+
+    def leaf_value(self, rows):
+        g, h = float(np.sum(self.grad[rows])), float(np.sum(self.hess[rows]))
+        return -g / (h + self.lam)
+
+
+def _fixture_matrix(dataset, observed, rows, columns=None):
+    """A seeded row sample; optionally only the ``columns`` densest columns."""
+    table = ingest.select_columns(dataset, PlainRequirement(observed, "attack"))
+    _, codes = learners.make_label_map(table.labels)
+    matrix, _ = features.fit_transform(table.observed, scheme=features.ONEHOT_COUNT)
+    pick = rng(0).permutation(len(codes))[:rows]
+    X = matrix.values[pick]
+    if columns is not None:
+        X = X[:, np.argsort(-X.sum(axis=0), kind="stable")[:columns]]
+    return X, codes[pick]
+
+
+def _tied_matrix():
+    r = np.random.default_rng(31)
+    X = r.choice([0.0, 0.0, 1.0, 2.5], size=(90, 9))
+    X[:, 4] = X[:, 1]  # identical features tie at every node
+    X[:, 7] = 0.0
+    return X, r.integers(0, 3, size=90).astype(np.int64)
+
+
+TREE_MATRICES = {
+    # noisy: sparse count columns, most constant within a node
+    "noisy": lambda: _fixture_matrix(noisy_dataset(), ("domain",), 150, 40),
+    "banded": lambda: _fixture_matrix(banded_dataset(), ("timestamp", "port"), 200),
+    "tied": _tied_matrix,
+}
+
+TREE_FAMILIES = {
+    "dt": [{"max_depth": 16, "min_leaf": 1}, {"max_depth": 8, "min_leaf": 4}],
+    "rf": [{"n_trees": 4, "max_depth": 8}],
+    "xgb": [{"n_rounds": 3, "max_depth": 3}, {"n_rounds": 2, "max_depth": 5}],
+}
+
+
+class TestTreeOracle:
+    """Tree payloads equal those grown one feature at a time by the reference."""
+
+    @pytest.mark.parametrize("cells", [None, 64])
+    @pytest.mark.parametrize("matrix", sorted(TREE_MATRICES))
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    def test_payload_matches_reference_builder(self, family, matrix, cells,
+                                               monkeypatch):
+        X, y = TREE_MATRICES[matrix]()
+        n_classes = int(y.max()) + 1
+        if cells is not None:  # split every node's columns into small blocks
+            monkeypatch.setattr(algorithms, "_BLOCK_CELLS", cells)
+        for params in TREE_FAMILIES[family]:
+            model = make_model(family, params)
+            model.fit(X, y, n_classes, rng(4))
+            with monkeypatch.context() as patch:
+                patch.setattr(algorithms, "_GiniTreeBuilder", _ReferenceGini)
+                patch.setattr(algorithms, "_NewtonTreeBuilder", _ReferenceNewton)
+                reference = make_model(family, params)
+                reference.fit(X, y, n_classes, rng(4))
+            assert json.dumps(model.payload()) == json.dumps(reference.payload())
 
 
 class TestKnnOracle:

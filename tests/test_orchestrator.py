@@ -196,6 +196,32 @@ class TestRegistry:
         assert len(reg) == 2
         assert {e["key"] for e in reg.entries()} == {"key1", "key2"}
 
+    def test_below_bar_repeat_does_not_decode_an_unchanged_file(
+            self, tmp_path, banded_model, monkeypatch):
+        reg = O.ModelRegistry(tmp_path)
+        reg.register("key1", for_key(banded_model, "key1"))
+        loads = []
+        load = learners.TrainedModel.load.__func__
+        monkeypatch.setattr(learners.TrainedModel, "load", classmethod(
+            lambda cls, path: loads.append(path) or load(cls, path)))
+        # a below-bar repeat looks up twice: in validate, then before it rebuilds
+        assert reg.lookup("key1", confidence=0.99) is None
+        assert reg.lookup("key1", confidence=0.99) is None
+        assert loads == []
+        reopened = O.ModelRegistry(tmp_path)
+        assert reopened.lookup("key1", confidence=0.99) is None
+        assert reopened.lookup("key1", confidence=0.99) is None
+        assert len(loads) == 1  # a fresh registry decodes the file once
+
+    def test_entries_do_not_decode_models(self, tmp_path, banded_model,
+                                          monkeypatch):
+        reg = O.ModelRegistry(tmp_path)
+        reg.register("key1", for_key(banded_model, "key1"))
+        monkeypatch.setattr(learners.TrainedModel, "load", None)  # any call fails
+        [entry] = reg.entries()
+        assert (entry["key"], entry["f1"], entry["family"], entry["scheme"]) == (
+            "key1", banded_model.f1, banded_model.family, banded_model.scheme)
+
     def test_register_rejects_model_built_for_another_key(self, tmp_path,
                                                           banded_model):
         reg = O.ModelRegistry(tmp_path)
