@@ -25,10 +25,17 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__, ingest, orchestrator
 from . import bench as bench_mod
-from . import ingest, orchestrator
 from .errors import CtiValidatorError
-from .learners import DEFAULT_BUDGET, TIERS, BuildBudget, families_for_tiers
+from .learners import (
+    DEFAULT_BUDGET,
+    DEFAULT_N_TRIALS,
+    DEFAULT_TIERS,
+    TIERS,
+    BuildBudget,
+    families_for_tiers,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -108,9 +115,8 @@ def _orchestrator(args) -> orchestrator.Orchestrator:
     config = orchestrator.BuildConfig(
         seed=args.seed,
         budget=_budget(args),
-        tiers=tuple(args.tiers.split(",")) if args.tiers else ("required",),
+        tiers=tuple(args.tiers.split(",")) if args.tiers else DEFAULT_TIERS,
         n_trials=args.trials,
-        parallelism=args.parallelism,
     )
     return orchestrator.Orchestrator(registry, notifier, config)
 
@@ -126,10 +132,10 @@ def _add_build_flags(parser) -> None:
                         help="wall-clock budget per candidate build")
     parser.add_argument("--budget-bytes", type=int, default=None,
                         help="memory budget per candidate build")
-    parser.add_argument("--parallelism", type=int, default=1)
-    parser.add_argument("--tiers", default="required",
-                        help=f"comma list from {', '.join(TIERS)}")
-    parser.add_argument("--trials", type=int, default=6,
+    parser.add_argument("--tiers", default=None,
+                        help=f"comma list from {', '.join(TIERS)} "
+                             f"(default {','.join(DEFAULT_TIERS)})")
+    parser.add_argument("--trials", type=int, default=DEFAULT_N_TRIALS,
                         help="hyperparameter search trials per candidate")
     parser.add_argument("--registry", default=None,
                         help=f"registry root (default ${_REGISTRY_ENV} or ./registry)")
@@ -140,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctivalidator",
         description="Validate CTI alerts with on-demand prediction models.")
-    parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse feeds into a dataset store")

@@ -109,11 +109,6 @@ def tokenize_structured(value: str, delimiters: tuple[str, ...]) -> list[str]:
     return tokens
 
 
-def tokenize_field(value: str, field_name: str) -> list[str]:
-    """Tokenize using the delimiter set registered for a schema field."""
-    return tokenize_structured(value, schema.STRUCTURED_DELIMITERS.get(field_name, ()))
-
-
 # ---------------------------------------------------------------------------
 # Vectorizers and encoders
 

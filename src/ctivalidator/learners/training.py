@@ -7,9 +7,10 @@ on the held-out split.  Each candidate runs under its own
 :class:`BuildBudget`; candidates that exceed it are reported as timed out
 and excluded from selection, never silently dropped.
 
-``select_optimal`` ranks survivors by held-out macro F1, breaking ties by
-lower computation time and finally by the fixed family order, so selection
-is total and reproducible whenever the F1 optimum is unique.
+Every ranking reads only what the build computed, never the clock:
+``tune`` breaks F1 ties by grid order and ``select_optimal`` by model size,
+then the fixed family and scheme orders, so the same inputs and seed always
+give the same model.  Wall-clock times are measured for reporting only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +184,7 @@ def split(y_codes: np.ndarray, test_fraction: float, seed: int) -> SplitResult:
 def train(family: str, params: dict, X: np.ndarray, y_codes: np.ndarray,
           n_classes: int, budget: BuildBudget, seed: int,
           clock: BudgetClock | None = None):
-    """Fit one model; returns (model, train_time in seconds).
+    """Fit one model and return it.
 
     Raises BudgetExceededError when the cooperative budget trips; the
     exception carries the elapsed time so the caller can report a
@@ -197,23 +197,19 @@ def train(family: str, params: dict, X: np.ndarray, y_codes: np.ndarray,
     clock = clock or BudgetClock(budget)
     clock.ensure_memory(X.shape[0], X.shape[1], FAMILIES[family].memory_factor)
     model = make_model(family, params)
-    rng = np.random.default_rng(seed)
-    started = time.perf_counter()
-    model.fit(X, y_codes, n_classes, rng, clock)
-    return model, time.perf_counter() - started
+    model.fit(X, y_codes, n_classes, np.random.default_rng(seed), clock)
+    return model
 
 
 def predict(model, X: np.ndarray, width: int | None = None):
-    """Predict label codes; returns (codes, predict_time in seconds).
+    """Predict label codes.
 
     Never abstains: every row gets a code, unseen patterns included.
     """
     if width is not None and X.shape[1] != width:
         raise SpecMismatchError(
             f"matrix width {X.shape[1]} does not match model width {width}")
-    started = time.perf_counter()
-    codes = model.predict_codes(X)
-    return codes, time.perf_counter() - started
+    return model.predict_codes(X)
 
 
 def grid_points(family: str) -> list[dict]:
@@ -228,7 +224,7 @@ def grid_points(family: str) -> list[dict]:
 @dataclass
 class TuneResult:
     best_params: dict
-    trials: list[tuple[dict, float, float]]  # (params, inner f1, train_time)
+    trials: list[tuple[dict, float]]  # (params, inner f1)
 
 
 def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
@@ -237,34 +233,33 @@ def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
     """Seeded random search over the family grid with an internal split.
 
     Trials are scored by macro F1 on the internal validation cut; ties go
-    to the trial with the lower train time.  A single-point grid returns
-    that point after one trial.
+    to the point listed first in ``grid_points(family)``, and the grids list
+    their cheaper values first.  A single-point grid returns that point
+    after one trial.
     """
     clock = clock or BudgetClock(budget)
     rng = np.random.default_rng(seed)
     points = grid_points(family)
-    proposals = [points[i] for i in rng.permutation(len(points))[:max(1, n_trials)]]
+    proposals = rng.permutation(len(points))[:max(1, n_trials)].tolist()
     if y_codes.shape[0] < 4:
         # too small for an inner cut; take the first seeded proposal
-        return TuneResult(best_params=proposals[0], trials=[])
+        return TuneResult(best_params=points[proposals[0]], trials=[])
 
     inner = split(y_codes, DEFAULT_TEST_FRACTION, seed=seed + 1)
     X_fit, y_fit = X[inner.train_idx], y_codes[inner.train_idx]
     X_val, y_val = X[inner.test_idx], y_codes[inner.test_idx]
 
-    best: tuple[float, float, dict] | None = None  # (f1, train_time, params)
-    trials: list[tuple[dict, float, float]] = []
-    for trial_no, params in enumerate(proposals):
+    scored: list[tuple[float, int]] = []  # (-f1, grid index): min is best
+    trials: list[tuple[dict, float]] = []
+    for trial_no, index in enumerate(proposals):
         clock.check()
-        model, fit_time = train(family, params, X_fit, y_fit, n_classes,
-                                budget, seed=seed + 100 + trial_no, clock=clock)
-        codes, _ = predict(model, X_val)
-        counts = evaluation.confusion(list(y_val), list(codes))
-        f1 = evaluation.metrics(counts).f1
-        trials.append((params, f1, fit_time))
-        if best is None or f1 > best[0] or (f1 == best[0] and fit_time < best[1]):
-            best = (f1, fit_time, params)
-    return TuneResult(best_params=best[2], trials=trials)
+        model = train(family, points[index], X_fit, y_fit, n_classes,
+                      budget, seed=seed + 100 + trial_no, clock=clock)
+        codes = predict(model, X_val)
+        f1 = evaluation.metrics(evaluation.confusion(list(y_val), list(codes))).f1
+        trials.append((points[index], f1))
+        scored.append((-f1, index))
+    return TuneResult(best_params=points[min(scored)[1]], trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +292,7 @@ class TrainedModel:
         return self.eval_report.f1
 
     def predict_codes(self, X: np.ndarray) -> np.ndarray:
-        codes, _ = predict(self.model, X, width=self.encoder_spec.width)
-        return codes
+        return predict(self.model, X, width=self.encoder_spec.width)
 
     def predict_labels(self, matrix: features.FeatureMatrix) -> list:
         codes = self.predict_codes(matrix.values)
@@ -382,16 +376,14 @@ class BuildReport:
 
 def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDGET,
                      seed: int = 0, *, tiers=DEFAULT_TIERS,
-                     n_trials: int = DEFAULT_N_TRIALS, parallelism: int = 1,
-                     test_fraction: float = DEFAULT_TEST_FRACTION,
-                     requirement_key: str = "", dataset_fingerprint: str = "") -> BuildReport:
+                     n_trials: int = DEFAULT_N_TRIALS, requirement_key: str = "",
+                     dataset_fingerprint: str = "") -> BuildReport:
     """Build every (scheme x family) candidate for a selected table.
 
     ``table`` provides ``observed`` columns and ``labels`` (see
-    ingest.SelectedTable).  Candidates run independently — optionally in
-    threads — and each gets a fresh budget clock.  The report carries the
-    surviving models plus one failure entry per candidate that timed out
-    or crashed.
+    ingest.SelectedTable).  Candidates run one after another and each gets
+    a fresh budget clock.  The report carries the surviving models plus one
+    failure entry per candidate that timed out or crashed.
     """
     family_names = families_for_tiers(tiers)
     label_map, codes = make_label_map(table.labels)
@@ -399,23 +391,13 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
     if n_classes < 1:
         raise ContractError("no labels to learn from")
 
-    cut = split(codes, test_fraction, seed=seed)
+    cut = split(codes, DEFAULT_TEST_FRACTION, seed=seed)
     prepared: list[tuple[str, features.FeatureMatrix, features.EncoderSpec]] = []
     for scheme in features.SCHEMES:
         matrix, spec = features.fit_transform(table.observed, scheme=scheme, seed=seed)
         prepared.append((scheme, matrix, spec))
 
-    jobs = []
-    job_seed = {}
-    for s_idx, (scheme, matrix, spec) in enumerate(prepared):
-        for f_idx, family in enumerate(family_names):
-            jobs.append((scheme, matrix, spec, family))
-            # stable per-candidate seed, independent of execution order
-            job_seed[(scheme, family)] = seed * 100003 + s_idx * 1009 + f_idx * 13 + 1
-
-    def run(job):
-        scheme, matrix, spec, family = job
-        cand_seed = job_seed[(scheme, family)]
+    def run(scheme, matrix, spec, family, cand_seed):
         clock = BudgetClock(budget)
         started = time.perf_counter()
         try:
@@ -425,8 +407,8 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
             X_test, y_test = matrix.values[cut.test_idx], codes[cut.test_idx]
             tuned = tune(family, X_train, y_train, n_classes, budget,
                          seed=cand_seed, n_trials=n_trials, clock=clock)
-            model, _ = train(family, tuned.best_params, X_train, y_train,
-                             n_classes, budget, seed=cand_seed, clock=clock)
+            model = train(family, tuned.best_params, X_train, y_train,
+                          n_classes, budget, seed=cand_seed, clock=clock)
             train_time = time.perf_counter() - started  # tuning included
             report, timing = evaluation.evaluate(
                 model, X_test, y_test, label_names=label_map, train_time=train_time)
@@ -444,26 +426,26 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
             return CandidateFailure(family, scheme, "error",
                                     time.perf_counter() - started, str(exc))
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     report = BuildReport(candidates=[], seed=seed)
-    for result in results:
-        if isinstance(result, TrainedModel):
-            report.candidates.append(result)
-        else:
-            report.failures.append(result)
+    for s_idx, (scheme, matrix, spec) in enumerate(prepared):
+        for f_idx, family in enumerate(family_names):
+            # stable per-candidate seed, independent of the other candidates
+            cand_seed = seed * 100003 + s_idx * 1009 + f_idx * 13 + 1
+            result = run(scheme, matrix, spec, family, cand_seed)
+            if isinstance(result, TrainedModel):
+                report.candidates.append(result)
+            else:
+                report.failures.append(result)
     return report
 
 
 def select_optimal(candidates) -> TrainedModel:
     """Pick the candidate with the best held-out F1.
 
-    Ties break toward lower computation time, then the fixed family order,
-    then the encoding scheme order, so the choice is always total.
+    Ties break toward the smaller model (the length of its
+    ``canonical_bytes()``, which roughly tracks serving cost), then the
+    fixed family order, then the encoding scheme order.  No timing enters
+    the rank, so the choice is total and the same on every run.
     """
     pool = list(candidates)
     if not pool:
@@ -472,7 +454,7 @@ def select_optimal(candidates) -> TrainedModel:
     def rank(model: TrainedModel):
         return (
             -model.eval_report.f1,
-            model.timing.computation_time,
+            len(model.canonical_bytes()),
             FAMILIES[model.family].rank,
             features.SCHEMES.index(model.scheme),
         )

@@ -386,7 +386,6 @@ class BuildConfig:
     budget: BuildBudget = DEFAULT_BUDGET
     tiers: tuple[str, ...] = DEFAULT_TIERS
     n_trials: int = DEFAULT_N_TRIALS
-    parallelism: int = 1
 
 
 @dataclass
@@ -535,8 +534,7 @@ class Orchestrator:
         report = build_candidates(
             table, requirement, budget=self.config.budget, seed=self.config.seed,
             tiers=self.config.tiers, n_trials=self.config.n_trials,
-            parallelism=self.config.parallelism, requirement_key=key,
-            dataset_fingerprint=dataset.fingerprint)
+            requirement_key=key, dataset_fingerprint=dataset.fingerprint)
         if report.all_failed:
             return _BuildResult(best=None, report=report)
         try:

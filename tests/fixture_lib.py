@@ -4,6 +4,7 @@ Each builder seeds its own RNG, so every test run sees identical records,
 fingerprints and model scores.
 """
 
+import math
 import random
 
 from ctivalidator import ingest
@@ -62,8 +63,8 @@ def banded_dataset(n=400, seed=80, dataset_id="banded"):
     """Irregular hour/day bands over a continuous timestamp feature.
 
     No model family matches the rule exactly, so held-out F1 values spread
-    out and the best candidate is unique — which makes the selection
-    byte-for-byte reproducible.
+    out and the best candidate is a strict F1 argmax: tests that pin the
+    winner's family and score rest on the F1 rule alone, not on a tie-break.
     """
     rng = random.Random(seed)
     records = []
@@ -99,6 +100,31 @@ def small_dataset(n=200, seed=3, dataset_id="small"):
             port=80 if rng.random() < 0.5 else 443,
             attack=kind, dataset_id=dataset_id))
     return ingest.normalize(records, dataset_id)
+
+
+class CallCountClock:
+    """Stand-in for ``time.perf_counter`` that ignores real time.
+
+    The n-th call returns ``stamp(n)``, so a measured interval depends only
+    on which calls it spans: a concave ``stamp`` makes later intervals
+    look shorter, a convex one makes them look longer.
+    """
+
+    def __init__(self, stamp):
+        self.stamp = stamp
+        self.calls = 0
+
+    def __call__(self) -> float:
+        self.calls += 1
+        return self.stamp(self.calls)
+
+
+def later_looks_faster(n: int) -> float:
+    return math.log1p(n)
+
+
+def later_looks_slower(n: int) -> float:
+    return 1e-9 * n * n  # stays far inside the default wall-clock budget
 
 
 class PlainRequirement:

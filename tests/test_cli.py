@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ctivalidator import cli
+import ctivalidator
+from ctivalidator import cli, orchestrator
 from ctivalidator.errors import ContractError
 
 from fixture_lib import PLANTED_WORDS
@@ -44,38 +45,6 @@ def write_requirement(tmp_path, observed="domain,port", label="attack",
     path.write_text(json.dumps(
         {"ob": observed, "un": label, "confidence": confidence}))
     return path
-
-
-def ingest_banded_dataset(tmp_path):
-    """CSV feed with irregular timestamp bands: one strict best candidate."""
-    import random
-
-    rng = random.Random(80)
-    rows = ["timestamp,port,description"]
-    for _ in range(400):
-        ts = 1600000000 + rng.randrange(0, 24 * 14) * 3600
-        hour = (ts // 3600) % 24
-        day = (ts // 86400) % 7
-        if hour < 5 or (11 <= hour < 13 and day in (1, 4)) or hour >= 22:
-            kind = "night"
-        elif 5 <= hour < 11 and day not in (2, 5):
-            kind = "dawn"
-        else:
-            kind = "day"
-        if rng.random() > 0.9:
-            kind = rng.choice(["night", "dawn", "day"])
-        rows.append(f"{ts},{(25, 80, 443, 8080)[rng.randrange(4)]},{kind}")
-    feed = tmp_path / "banded.csv"
-    feed.write_text("\n".join(rows) + "\n")
-    column_map = tmp_path / "banded-map.json"
-    column_map.write_text(json.dumps(
-        {"timestamp": "timestamp", "port": "port", "description": "attack"}))
-    out = tmp_path / "banded-dataset.json"
-    code = cli.main(["ingest", "--csv", str(feed), "--column-map",
-                     str(column_map), "--dataset-id", "banded",
-                     "--out", str(out)])
-    assert code == cli.EXIT_OK
-    return out
 
 
 class TestIngest:
@@ -230,12 +199,12 @@ class TestBuildAndValidate:
         assert code == cli.EXIT_OK
 
     def test_output_documents_are_byte_stable(self, tmp_path):
-        # the banded fixture has a strict best candidate, so repeated builds
-        # cannot flip on timing ties
-        dataset = ingest_banded_dataset(tmp_path)
-        requirement = write_requirement(tmp_path, observed="timestamp,port")
+        # every required candidate ties at F1 1.0 on the planted feed
+        dataset = ingest_dataset(tmp_path)
+        requirement = write_requirement(tmp_path)
         alerts = tmp_path / "alerts.json"
-        alerts.write_text(json.dumps([{"timestamp": 1600000000, "port": 80}]))
+        alerts.write_text(json.dumps([{"domain": "a1.credful.example.com",
+                                       "port": 80}]))
         outs = []
         for run in ("a", "b"):
             registry = tmp_path / f"registry-{run}"
@@ -324,7 +293,14 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
-        assert "ctivalidator" in capsys.readouterr().out
+        assert capsys.readouterr().out.split() == ["ctivalidator",
+                                                   ctivalidator.__version__]
+
+    def test_build_defaults_are_the_library_defaults(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["build", "--dataset", "d.json", "--requirement", "r.json",
+             "--registry", str(tmp_path / "registry")])
+        assert cli._orchestrator(args).config == orchestrator.BuildConfig()
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

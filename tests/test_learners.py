@@ -13,7 +13,7 @@ from ctivalidator.errors import (
     NoModelFoundError,
     SpecMismatchError,
 )
-from ctivalidator.learners import _kernels, algorithms
+from ctivalidator.learners import _kernels, algorithms, training
 from ctivalidator.learners.algorithms import (
     GaussianNbModel,
     KnnModel,
@@ -22,7 +22,15 @@ from ctivalidator.learners.algorithms import (
     model_from_payload,
 )
 
-from fixture_lib import PlainRequirement, banded_dataset, noisy_dataset
+from fixture_lib import (
+    CallCountClock,
+    PlainRequirement,
+    banded_dataset,
+    later_looks_faster,
+    later_looks_slower,
+    noisy_dataset,
+    planted_dataset,
+)
 
 
 def rng(seed=0):
@@ -489,7 +497,7 @@ class TestTune:
     def test_best_params_achieve_max_trial_score(self):
         X, y = self.two_cluster_problem()
         result = learners.tune("knn", X, y, 2, learners.DEFAULT_BUDGET, seed=2)
-        scores = [f1 for _, f1, _ in result.trials]
+        scores = [f1 for _, f1 in result.trials]
         assert scores.count(max(scores)) == 1  # fixture gives a unique winner
         winner = max(result.trials, key=lambda t: t[1])[0]
         assert result.best_params == winner
@@ -499,18 +507,31 @@ class TestTune:
         a = learners.tune("rf", X, y, 2, learners.DEFAULT_BUDGET, seed=8)
         b = learners.tune("rf", X, y, 2, learners.DEFAULT_BUDGET, seed=8)
         assert a.best_params == b.best_params
-        # elapsed times are measured, so compare the seeded content only
-        assert [(p, f1) for p, f1, _ in a.trials] == \
-            [(p, f1) for p, f1, _ in b.trials]
+        assert a.trials == b.trials
 
-    def test_trials_cover_grid_scores_and_times(self):
+    def test_trials_cover_grid_scores(self):
         X, y = self.two_cluster_problem()
         result = learners.tune("gbay", X, y, 2, learners.DEFAULT_BUDGET, seed=3)
         assert 1 <= len(result.trials) <= len(learners.grid_points("gbay"))
-        for params, f1, elapsed in result.trials:
+        for params, f1 in result.trials:
             assert 0.0 <= f1 <= 1.0
-            assert elapsed >= 0.0
             assert set(params) == {"var_floor"}
+
+    def test_f1_tie_goes_to_the_earliest_grid_point(self, monkeypatch):
+        # two far-apart clusters: every k scores F1 1.0 on the inner cut
+        r = rng(45)
+        X = np.vstack([r.normal(0.0, 0.3, size=(40, 2)),
+                       r.normal(5.0, 0.3, size=(40, 2))])
+        y = np.array([0] * 40 + [1] * 40, dtype=np.int64)
+        monkeypatch.setattr(training.time, "perf_counter",
+                            CallCountClock(later_looks_faster))
+        result = learners.tune("knn", X, y, 2, learners.DEFAULT_BUDGET, seed=4)
+        points = learners.grid_points("knn")
+        tied = [p for p, f1 in result.trials if f1 == 1.0]
+        assert len(tied) >= 2
+        # the last tied trial looks fastest on this clock, and is not the pick
+        assert tied[-1] != min(tied, key=points.index)
+        assert result.best_params == min(tied, key=points.index)
 
 
 class TestBudget:
@@ -549,11 +570,13 @@ class TestBudget:
 
 
 class FakeCandidate:
-    """Bare object with just the attributes the selection rule reads."""
+    """Bare object with the attributes a candidate carries: F1, model size
+    (the length of ``canonical_bytes()``), family, scheme and timing."""
 
-    def __init__(self, f1, computation_time, family, scheme):
+    def __init__(self, f1, size, family, scheme, computation_time=1.0):
         self.family = family
         self.scheme = scheme
+        self.size = size
         self.eval_report = types.SimpleNamespace(f1=f1)
         self.timing = evaluation.TimingReport(
             train_time=computation_time, predict_time=0.0)
@@ -562,34 +585,41 @@ class FakeCandidate:
     def f1(self):
         return self.eval_report.f1
 
-    @property
-    def computation_time(self):
-        return self.timing.computation_time
+    def canonical_bytes(self):
+        return b"x" * self.size
 
 
 class TestSelectOptimal:
     def test_highest_f1_wins(self):
         best = learners.select_optimal([
-            FakeCandidate(0.3, 5.0, "dt", "label-tfidf"),
-            FakeCandidate(0.9, 10.0, "rf", "label-tfidf"),
-            FakeCandidate(0.7, 1.0, "knn", "label-tfidf"),
+            FakeCandidate(0.3, 50, "dt", "label-tfidf"),
+            FakeCandidate(0.9, 100, "rf", "label-tfidf"),
+            FakeCandidate(0.7, 10, "knn", "label-tfidf"),
         ])
         assert best.f1 == 0.9
 
-    def test_f1_tie_falls_to_fastest(self):
+    def test_f1_tie_falls_to_smallest_model(self):
         best = learners.select_optimal([
-            FakeCandidate(0.3, 5.0, "dt", "label-tfidf"),
-            FakeCandidate(0.9, 10.0, "rf", "label-tfidf"),
-            FakeCandidate(0.9, 2.0, "knn", "label-tfidf"),
+            FakeCandidate(0.3, 5, "dt", "label-tfidf"),
+            FakeCandidate(0.9, 100, "rf", "label-tfidf"),
+            FakeCandidate(0.9, 20, "knn", "label-tfidf"),
         ])
-        assert best.computation_time == 2.0
-        assert best.family == "knn"
+        assert (best.family, best.size) == ("knn", 20)
+
+    def test_timing_does_not_change_the_pick(self):
+        def pick(rf_time, knn_time):
+            return learners.select_optimal([
+                FakeCandidate(0.9, 100, "rf", "label-tfidf", rf_time),
+                FakeCandidate(0.9, 20, "knn", "label-tfidf", knn_time),
+            ]).family
+
+        assert pick(1.0, 9.0) == pick(9.0, 1.0) == "knn"
 
     def test_full_tie_falls_to_family_rank_then_scheme(self):
         best = learners.select_optimal([
-            FakeCandidate(0.9, 2.0, "knn", "label-tfidf"),
-            FakeCandidate(0.9, 2.0, "dt", "onehot-count"),
-            FakeCandidate(0.9, 2.0, "dt", "label-tfidf"),
+            FakeCandidate(0.9, 20, "knn", "label-tfidf"),
+            FakeCandidate(0.9, 20, "dt", "onehot-count"),
+            FakeCandidate(0.9, 20, "dt", "label-tfidf"),
         ])
         assert (best.family, best.scheme) == ("dt", "label-tfidf")
 
@@ -609,9 +639,24 @@ class TestReproducibility:
         assert picks[0].canonical_bytes() == picks[1].canonical_bytes()
         assert picks[0].family == "dt"
         assert picks[0].f1 == pytest.approx(0.7829448760636329, abs=1e-12)
-        # the winner is a strict argmax, so timing noise cannot flip it
+        # a strict argmax: the pinned winner rests on the F1 rule alone
         ranked = sorted((c.f1 for c in report.candidates), reverse=True)
         assert ranked[0] > ranked[1]
+
+    def test_tied_build_is_byte_identical_whatever_the_clock(self, monkeypatch):
+        # the required candidates tie at the top F1 on a small planted feed;
+        # one build reads a clock on which later work looks faster, the
+        # other one on which it looks slower
+        table = ingest.select_columns(
+            planted_dataset(n=300), PlainRequirement(("domain", "port"), "attack"))
+        picks = []
+        for stamp in (later_looks_faster, later_looks_slower):
+            monkeypatch.setattr(training.time, "perf_counter", CallCountClock(stamp))
+            report = learners.build_candidates(table, seed=7)
+            top = max(c.f1 for c in report.candidates)
+            assert sum(c.f1 == top for c in report.candidates) >= 2
+            picks.append(learners.select_optimal(report.candidates))
+        assert picks[0].canonical_bytes() == picks[1].canonical_bytes()
 
     def test_candidate_timing_identity(self):
         table = ingest.select_columns(
