@@ -32,6 +32,7 @@ from .learners import (
     DEFAULT_BUDGET,
     DEFAULT_N_TRIALS,
     DEFAULT_TIERS,
+    FAMILIES,
     TIERS,
     BuildBudget,
     families_for_tiers,
@@ -304,17 +305,16 @@ def _cmd_registry_list(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    n_algorithms = (len(families_for_tiers(tuple(args.tiers.split(","))))
+                    if args.tiers else len(FAMILIES))
     if args.attributes is not None:
         plans = [bench_mod.ExperimentPlan(
             name="custom", n_attributes=args.attributes, n_labels=args.labels,
-            n_requirements=args.requirements)]
+            n_requirements=args.requirements, n_algorithms=n_algorithms)]
     else:
         names = [n for n in args.preset.split(",") if n]
-        kwargs = {}
-        if args.tiers:
-            kwargs["n_algorithms"] = len(
-                families_for_tiers(tuple(args.tiers.split(","))))
-        plans = [bench_mod.preset_plan(name, **kwargs) for name in names]
+        plans = [bench_mod.preset_plan(name, n_algorithms=n_algorithms)
+                 for name in names]
     report = bench_mod.bench_report(plans, samples=args.sample_seconds or (),
                                     timed_out=args.timed_out)
     doc = bench_mod.report_to_doc(report)

@@ -5,7 +5,8 @@ the predicted sequence.  Per-class precision/recall/F1 use the usual
 one-vs-rest definitions with zero denominators mapped to 0.0 and flagged,
 never NaN.  Accuracy is the count-level identity (correct / total), which
 equals micro-averaged recall.  ``computation_time`` is defined as
-train time + predict time and holds by construction on every report.
+train time + predict time and holds by construction on every report;
+timing describes one fresh build and is never stored.
 """
 
 from __future__ import annotations
@@ -207,20 +208,6 @@ def report_from_doc(doc: dict) -> EvalReport:
                       recall=doc["recall"], f1=doc["f1"],
                       averaging=doc["averaging"], per_class=per_class,
                       n_items=doc["n_items"])
-
-
-def timing_to_doc(timing: TimingReport) -> dict:
-    return {
-        "format_version": _REPORT_FORMAT_VERSION,
-        "train_time": timing.train_time,
-        "predict_time": timing.predict_time,
-        "computation_time": timing.computation_time,
-    }
-
-
-def timing_from_doc(doc: dict) -> TimingReport:
-    return TimingReport(train_time=doc["train_time"],
-                        predict_time=doc["predict_time"])
 
 
 def report_to_text(report: EvalReport, timing: TimingReport | None = None) -> str:

@@ -331,7 +331,6 @@ class EncoderSpec:
     """Everything needed to replay a fitted feature transform bit-exactly."""
 
     scheme: str
-    seed: int
     text: TextOptions
     artifacts: tuple[ColumnArtifact, ...] = field(default_factory=tuple)
 
@@ -347,7 +346,6 @@ class EncoderSpec:
         doc = {
             "format_version": _SPEC_FORMAT_VERSION,
             "scheme": self.scheme,
-            "seed": self.seed,
             "text": {"stop_words": list(self.text.stop_words), "stem": self.text.stem},
             "columns": [
                 {
@@ -387,16 +385,14 @@ class EncoderSpec:
         )
         return cls(
             scheme=doc["scheme"],
-            seed=doc["seed"],
             text=TextOptions(tuple(doc["text"]["stop_words"]), doc["text"]["stem"]),
             artifacts=artifacts,
         )
 
 
-def _column_kind(name: str, kinds: dict[str, str] | None) -> str:
-    table = kinds if kinds is not None else schema.FIELD_KINDS
+def _column_kind(name: str) -> str:
     try:
-        return table[name]
+        return schema.FIELD_KINDS[name]
     except KeyError:
         raise UnknownAttributeError(name) from None
 
@@ -471,8 +467,6 @@ def fit_transform(
     columns,
     *,
     scheme: str,
-    seed: int = 0,
-    kinds: dict[str, str] | None = None,
     text: TextOptions = TextOptions(),
 ) -> tuple[FeatureMatrix, EncoderSpec]:
     """Fit encoders on the given columns and produce the design matrix.
@@ -490,9 +484,9 @@ def fit_transform(
     if len(lengths) != 1:
         raise ContractError("all columns must have the same number of rows")
     artifacts = tuple(
-        _fit_column(n, _column_kind(n, kinds), columns[n], scheme, text) for n in names
+        _fit_column(n, _column_kind(n), columns[n], scheme, text) for n in names
     )
-    spec = EncoderSpec(scheme=scheme, seed=seed, text=text, artifacts=artifacts)
+    spec = EncoderSpec(scheme=scheme, text=text, artifacts=artifacts)
     return transform(columns, spec), spec
 
 

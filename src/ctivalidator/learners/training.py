@@ -10,7 +10,9 @@ and excluded from selection, never silently dropped.
 Every ranking reads only what the build computed, never the clock:
 ``tune`` breaks F1 ties by grid order and ``select_optimal`` by model size,
 then the fixed family and scheme orders, so the same inputs and seed always
-give the same model.  Wall-clock times are measured for reporting only.
+give the same model.  Wall-clock times are measured for reporting only and
+live on the freshly built model, never in its stored document, so the same
+inputs and seed also give byte-identical model files.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .algorithms import FAMILIES, families_for_tiers, make_model, model_from_pay
 
 logger = logging.getLogger(__name__)
 
-_MODEL_FORMAT_VERSION = "1"
+_MODEL_FORMAT_VERSION = "2"
+# "1" also carried timing and dataset_fingerprint; reading ignores both.
+_READABLE_FORMAT_VERSIONS = ("1", _MODEL_FORMAT_VERSION)
 
 DEFAULT_TEST_FRACTION = 0.3
 DEFAULT_TIERS = (algorithms.REQUIRED_TIER,)
@@ -270,9 +274,10 @@ def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
 class TrainedModel:
     """A fitted candidate with everything needed to reuse it later.
 
-    ``timing`` fields are the designated wall-clock data; they are stored
-    in the container but excluded from :meth:`canonical_bytes`, which is
-    the byte-for-byte identity used by reproducibility checks.
+    :meth:`canonical_bytes` is the model's byte-for-byte identity and
+    :meth:`save` writes exactly those bytes.  ``timing`` is wall-clock data
+    from the build that produced this object: it is not part of the
+    document, and a loaded model has ``timing=None``.
     """
 
     family: str
@@ -282,9 +287,8 @@ class TrainedModel:
     encoder_spec: features.EncoderSpec
     model: object
     eval_report: evaluation.EvalReport
-    timing: evaluation.TimingReport
+    timing: evaluation.TimingReport | None = field(default=None, compare=False)
     requirement_key: str = ""
-    dataset_fingerprint: str = ""
     seed: int = 0
 
     @property
@@ -308,25 +312,21 @@ class TrainedModel:
             "encoder_spec": self.encoder_spec.to_bytes().decode("utf-8"),
             "payload": self.model.payload(),
             "eval": evaluation.report_to_doc(self.eval_report),
-            "timing": evaluation.timing_to_doc(self.timing),
             "requirement_key": self.requirement_key,
-            "dataset_fingerprint": self.dataset_fingerprint,
             "seed": self.seed,
         }
 
     def canonical_bytes(self) -> bytes:
-        doc = self.to_document()
-        doc.pop("timing")  # wall-clock measurements are not model identity
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return json.dumps(self.to_document(), sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_document(), handle, sort_keys=True, indent=1)
-            handle.write("\n")
+        with open(path, "wb") as handle:
+            handle.write(self.canonical_bytes())
 
     @classmethod
     def from_document(cls, doc: dict) -> "TrainedModel":
-        if doc.get("format_version") != _MODEL_FORMAT_VERSION:
+        if doc.get("format_version") not in _READABLE_FORMAT_VERSIONS:
             raise SpecMismatchError(
                 f"unsupported model format version: {doc.get('format_version')!r}")
         return cls(
@@ -338,9 +338,7 @@ class TrainedModel:
                 doc["encoder_spec"].encode("utf-8")),
             model=model_from_payload(doc["family"], doc["payload"]),
             eval_report=evaluation.report_from_doc(doc["eval"]),
-            timing=evaluation.timing_from_doc(doc["timing"]),
             requirement_key=doc.get("requirement_key", ""),
-            dataset_fingerprint=doc.get("dataset_fingerprint", ""),
             seed=doc.get("seed", 0),
         )
 
@@ -376,8 +374,8 @@ class BuildReport:
 
 def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDGET,
                      seed: int = 0, *, tiers=DEFAULT_TIERS,
-                     n_trials: int = DEFAULT_N_TRIALS, requirement_key: str = "",
-                     dataset_fingerprint: str = "") -> BuildReport:
+                     n_trials: int = DEFAULT_N_TRIALS,
+                     requirement_key: str = "") -> BuildReport:
     """Build every (scheme x family) candidate for a selected table.
 
     ``table`` provides ``observed`` columns and ``labels`` (see
@@ -394,7 +392,7 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
     cut = split(codes, DEFAULT_TEST_FRACTION, seed=seed)
     prepared: list[tuple[str, features.FeatureMatrix, features.EncoderSpec]] = []
     for scheme in features.SCHEMES:
-        matrix, spec = features.fit_transform(table.observed, scheme=scheme, seed=seed)
+        matrix, spec = features.fit_transform(table.observed, scheme=scheme)
         prepared.append((scheme, matrix, spec))
 
     def run(scheme, matrix, spec, family, cand_seed):
@@ -416,8 +414,7 @@ def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDG
                 family=family, scheme=scheme, params=tuned.best_params,
                 label_map=label_map, encoder_spec=spec, model=model,
                 eval_report=report, timing=timing,
-                requirement_key=requirement_key,
-                dataset_fingerprint=dataset_fingerprint, seed=cand_seed)
+                requirement_key=requirement_key, seed=cand_seed)
         except BudgetExceededError as exc:
             logger.info("candidate %s/%s timed out (%s)", scheme, family, exc.kind)
             return CandidateFailure(family, scheme, exc.kind, exc.elapsed, str(exc))
@@ -444,19 +441,20 @@ def select_optimal(candidates) -> TrainedModel:
 
     Ties break toward the smaller model (the length of its
     ``canonical_bytes()``, which roughly tracks serving cost), then the
-    fixed family order, then the encoding scheme order.  No timing enters
-    the rank, so the choice is total and the same on every run.
+    fixed family order, then the encoding scheme order.  Only the
+    candidates tied at the top F1 are serialized to be sized.  No timing
+    enters the rank, so the choice is total and the same on every run.
     """
     pool = list(candidates)
     if not pool:
         raise NoModelFoundError("no candidate model survived the build")
+    top = max(model.eval_report.f1 for model in pool)
 
     def rank(model: TrainedModel):
         return (
-            -model.eval_report.f1,
             len(model.canonical_bytes()),
             FAMILIES[model.family].rank,
             features.SCHEMES.index(model.scheme),
         )
 
-    return min(pool, key=rank)
+    return min((model for model in pool if model.eval_report.f1 == top), key=rank)

@@ -534,7 +534,7 @@ class Orchestrator:
         report = build_candidates(
             table, requirement, budget=self.config.budget, seed=self.config.seed,
             tiers=self.config.tiers, n_trials=self.config.n_trials,
-            requirement_key=key, dataset_fingerprint=dataset.fingerprint)
+            requirement_key=key)
         if report.all_failed:
             return _BuildResult(best=None, report=report)
         try:

@@ -278,6 +278,14 @@ class TestBench:
         assert "992" in out
         assert "112" in out
 
+    def test_custom_plan_follows_tiers(self, capsys):
+        code = cli.main(["bench", "--attributes", "6", "--requirements", "7",
+                         "--tiers", "required", "--json"])
+        assert code == cli.EXIT_OK
+        [plan] = json.loads(capsys.readouterr().out)["plans"]
+        # 5 required families x 2 encodings x (7 requirements | 62 subsets)
+        assert plan["experiments"] == {"on_demand": 70, "prebuild": 620}
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "bench.json"
         code = cli.main(["bench", "--json", "--out", str(out)])

@@ -152,12 +152,6 @@ class TestTiming:
         with pytest.raises(ContractError):
             E.TimingReport(train_time=0.0, predict_time=-1.0)
 
-    def test_doc_round_trip(self):
-        timing = E.TimingReport(train_time=0.5, predict_time=0.125)
-        doc = E.timing_to_doc(timing)
-        assert doc["computation_time"] == 0.625
-        assert E.timing_from_doc(doc) == timing
-
 
 class TestDocuments:
     def report(self):

@@ -420,10 +420,16 @@ class TestPayloadRoundTrip:
         best = learners.select_optimal(report.candidates)
         path = tmp_path / "model.json"
         best.save(path)
+        assert path.read_bytes() == best.canonical_bytes()
         back = learners.TrainedModel.load(path)
         assert back.canonical_bytes() == best.canonical_bytes()
-        matrix = np.array([[0.1, 1.0, 0.0, 0.0, 0.0]])
+        assert best.timing is not None and back.timing is None
         # replayed predictions through the stored encoder must agree
+        replayed = back.predict_labels(
+            features.transform(table.observed, back.encoder_spec))
+        assert replayed == best.predict_labels(
+            features.transform(table.observed, best.encoder_spec))
+        assert len(set(replayed)) > 1
         assert back.f1 == best.f1
         assert back.family == best.family
 
@@ -614,6 +620,18 @@ class TestSelectOptimal:
             ]).family
 
         assert pick(1.0, 9.0) == pick(9.0, 1.0) == "knn"
+
+    def test_candidates_below_the_top_f1_are_never_sized(self):
+        class Unsizable(FakeCandidate):
+            def canonical_bytes(self):
+                raise AssertionError("sized a candidate below the top F1")
+
+        best = learners.select_optimal([
+            Unsizable(0.5, 5, "dt", "label-tfidf"),
+            FakeCandidate(0.9, 100, "rf", "label-tfidf"),
+            FakeCandidate(0.9, 20, "knn", "label-tfidf"),
+        ])
+        assert (best.family, best.size) == ("knn", 20)
 
     def test_full_tie_falls_to_family_rank_then_scheme(self):
         best = learners.select_optimal([

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from ctivalidator import ingest, learners, orchestrator as O
+from ctivalidator import features, ingest, learners, orchestrator as O
 from ctivalidator.errors import ContractError, UnknownAttributeError
 
 from fixture_lib import (
@@ -21,7 +21,7 @@ from fixture_lib import (
 def build_model(dataset, observed, label, seed=7):
     table = ingest.select_columns(dataset, PlainRequirement(observed, label))
     report = learners.build_candidates(
-        table, seed=seed, requirement_key="k", dataset_fingerprint="fp")
+        table, seed=seed, requirement_key="k")
     return learners.select_optimal(report.candidates)
 
 
@@ -278,6 +278,56 @@ class TestRegistry:
         hit = reopened.lookup("key1", confidence=0.5)
         assert hit.canonical_bytes() == model.canonical_bytes()
 
+
+class TestModelFiles:
+    def test_same_inputs_and_seed_give_byte_identical_files(self, tmp_path):
+        stored = []
+        for name in ("a", "b"):
+            orch, registry, _ = make_orchestrator(tmp_path / name, seed=7)
+            outcome = orch.build(BANDED_REQ, banded_dataset())
+            assert isinstance(outcome, O.Predicted)
+            [path] = registry.root.glob("models/*/model.json")
+            raw = path.read_bytes()
+            assert raw == outcome.model.canonical_bytes()
+            stored.append(raw)
+        assert stored[0] == stored[1]
+        doc = json.loads(stored[0])
+        assert "timing" not in doc and "dataset_fingerprint" not in doc
+        assert "seed" not in json.loads(doc["encoder_spec"])
+
+    def test_version_one_file_loads_serves_and_lists(self, tmp_path,
+                                                     banded_model):
+        # the older layout: indented, with wall-clock timing, a copy of the
+        # dataset fingerprint and an encoder spec that carries a seed
+        dataset = banded_dataset()
+        key = O.requirement_key(BANDED_REQ, dataset.fingerprint)
+        model = for_key(banded_model, key)
+        doc = model.to_document()
+        spec = json.loads(doc["encoder_spec"])
+        spec["seed"] = 7
+        doc.update(
+            format_version="1", dataset_fingerprint=dataset.fingerprint,
+            encoder_spec=json.dumps(spec, sort_keys=True, separators=(",", ":")),
+            timing={"format_version": "1", "train_time": 0.5,
+                    "predict_time": 0.125, "computation_time": 0.625})
+        root = tmp_path / "registry"
+        O.ModelRegistry(root).register(key, model)
+        [path] = root.glob("models/*/model.json")
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+        orch, registry, _ = make_orchestrator(tmp_path, seed=7)
+        hit = registry.lookup(key, confidence=0.5)
+        assert hit is not None and hit.timing is None
+        assert hit.canonical_bytes() == model.canonical_bytes()
+        assert [e["key"] for e in registry.entries()] == [key]
+        rows = dataset.records[:20]
+        outcome = orch.validate(BANDED_REQ, dataset, rows)
+        assert isinstance(outcome, O.Predicted) and outcome.from_cache
+        assert orch.stats.builds == 0
+        columns = {name: [getattr(r, name) for r in rows]
+                   for name in BANDED_REQ.observed}
+        assert outcome.labels == tuple(model.predict_labels(
+            features.transform(columns, model.encoder_spec)))
 
 class TestNotifier:
     def test_appends_jsonl(self, tmp_path):
