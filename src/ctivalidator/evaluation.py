@@ -12,7 +12,7 @@ timing describes one fresh build and is never stored.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -173,58 +173,23 @@ def evaluate(model, X: np.ndarray, y, label_names=None,
 
 
 # ---------------------------------------------------------------------------
-# Serialization (text for humans, JSON documents for machines)
+# JSON documents: a report's fields, each class's metrics as its fields
 
 
 def report_to_doc(report: EvalReport) -> dict:
-    return {
-        "format_version": _REPORT_FORMAT_VERSION,
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "averaging": report.averaging,
-        "n_items": report.n_items,
-        "per_class": [
-            {
-                "label": m.label, "tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-                "precision": m.precision, "recall": m.recall, "f1": m.f1,
-                "support": m.support, "zero_division": list(m.zero_division),
-            }
-            for m in report.per_class
-        ],
-    }
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    doc["per_class"] = [{f.name: getattr(m, f.name) for f in fields(m)}
+                        for m in report.per_class]
+    doc["format_version"] = _REPORT_FORMAT_VERSION
+    return doc
+
+
+def _from_fields(cls, doc: dict):
+    """``cls`` from the document's entries for its fields; lists become tuples."""
+    return cls(**{f.name: tuple(doc[f.name]) if isinstance(doc[f.name], list)
+                  else doc[f.name] for f in fields(cls)})
 
 
 def report_from_doc(doc: dict) -> EvalReport:
-    per_class = tuple(
-        ClassMetrics(label=m["label"], tp=m["tp"], fp=m["fp"], fn=m["fn"],
-                     tn=m["tn"], precision=m["precision"], recall=m["recall"],
-                     f1=m["f1"], support=m["support"],
-                     zero_division=tuple(m["zero_division"]))
-        for m in doc["per_class"]
-    )
-    return EvalReport(accuracy=doc["accuracy"], precision=doc["precision"],
-                      recall=doc["recall"], f1=doc["f1"],
-                      averaging=doc["averaging"], per_class=per_class,
-                      n_items=doc["n_items"])
-
-
-def report_to_text(report: EvalReport, timing: TimingReport | None = None) -> str:
-    lines = [
-        f"items: {report.n_items}",
-        f"accuracy: {report.accuracy:.4f}",
-        f"precision ({report.averaging}): {report.precision:.4f}",
-        f"recall ({report.averaging}): {report.recall:.4f}",
-        f"f1 ({report.averaging}): {report.f1:.4f}",
-    ]
-    for m in report.per_class:
-        flags = f" [zero: {','.join(m.zero_division)}]" if m.zero_division else ""
-        lines.append(
-            f"  {m.label}: p={m.precision:.4f} r={m.recall:.4f} "
-            f"f1={m.f1:.4f} support={m.support}{flags}")
-    if timing is not None:
-        lines.append(
-            f"time: train={timing.train_time:.4f}s predict={timing.predict_time:.4f}s "
-            f"total={timing.computation_time:.4f}s")
-    return "\n".join(lines)
+    per_class = tuple(_from_fields(ClassMetrics, m) for m in doc["per_class"])
+    return _from_fields(EvalReport, dict(doc, per_class=per_class))

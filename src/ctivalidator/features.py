@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -346,20 +346,9 @@ class EncoderSpec:
         doc = {
             "format_version": _SPEC_FORMAT_VERSION,
             "scheme": self.scheme,
-            "text": {"stop_words": list(self.text.stop_words), "stem": self.text.stem},
-            "columns": [
-                {
-                    "name": a.name,
-                    "kind": a.kind,
-                    "encoder_type": a.encoder_type,
-                    "categories": list(a.categories),
-                    "vocabulary": list(a.vocabulary),
-                    "idf": list(a.idf),
-                    "mean": a.mean,
-                    "stddev": a.stddev,
-                }
-                for a in self.artifacts
-            ],
+            "text": {f.name: getattr(self.text, f.name) for f in fields(self.text)},
+            "columns": [{f.name: getattr(a, f.name) for f in fields(a)}
+                        for a in self.artifacts],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -370,24 +359,17 @@ class EncoderSpec:
             raise SpecMismatchError(
                 f"unsupported encoder format version: {doc.get('format_version')!r}"
             )
-        artifacts = tuple(
-            ColumnArtifact(
-                name=c["name"],
-                kind=c["kind"],
-                encoder_type=c["encoder_type"],
-                categories=tuple(c["categories"]),
-                vocabulary=tuple(c["vocabulary"]),
-                idf=tuple(c["idf"]),
-                mean=c["mean"],
-                stddev=c["stddev"],
-            )
-            for c in doc["columns"]
-        )
         return cls(
             scheme=doc["scheme"],
-            text=TextOptions(tuple(doc["text"]["stop_words"]), doc["text"]["stem"]),
-            artifacts=artifacts,
+            text=_from_fields(TextOptions, doc["text"]),
+            artifacts=tuple(_from_fields(ColumnArtifact, c) for c in doc["columns"]),
         )
+
+
+def _from_fields(cls, doc: dict):
+    """``cls`` from the document's entries for its fields; lists become tuples."""
+    return cls(**{f.name: tuple(doc[f.name]) if isinstance(doc[f.name], list)
+                  else doc[f.name] for f in fields(cls)})
 
 
 def _column_kind(name: str) -> str:

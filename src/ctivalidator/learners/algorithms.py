@@ -1,8 +1,11 @@
 """From-scratch classifier families behind one small interface.
 
-Every family implements ``fit(X, y, n_classes, rng, clock)``,
-``predict_codes(X)`` and a JSON-able ``payload()`` / ``from_payload()``
-pair.  Labels are integer codes ``0..n_classes-1``; every predictor
+Every family is a dataclass whose fields are its hyperparameters,
+``n_classes`` and its fitted state, and implements
+``fit(X, y, n_classes, rng, clock)`` and ``predict_codes(X)``.  Its JSON-able
+payload is exactly those fields: the shared ``payload()`` /
+``from_payload()`` store arrays through :mod:`.codec` and trees as their
+arrays.  Labels are integer codes ``0..n_classes-1``; every predictor
 resolves score ties toward the lowest code so predictions are fully
 deterministic.  ``clock`` is a cooperative budget: trainers call
 ``clock.check()`` at node/tree/epoch/round boundaries and abort by
@@ -17,7 +20,7 @@ tanh layer, additive regression trees on the softmax objective).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,18 +60,11 @@ class _Tree:
             node = np.where(active, nxt, node)
 
     def to_doc(self) -> dict:
-        return {
-            "feature": array_to_doc(self.feature),
-            "threshold": array_to_doc(self.threshold),
-            "left": array_to_doc(self.left),
-            "right": array_to_doc(self.right),
-            "leaf": array_to_doc(self.leaf),
-        }
+        return {f.name: array_to_doc(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "_Tree":
-        return cls(*(doc_to_array(doc[k]) for k in
-                     ("feature", "threshold", "left", "right", "leaf")))
+        return cls(**{f.name: doc_to_array(doc[f.name]) for f in fields(cls)})
 
 
 # Cap on rows x columns per split-kernel call.  The kernels' prefix-sum
@@ -277,19 +273,79 @@ class _NewtonTreeBuilder(_TreeBuilder):
 
 
 # ---------------------------------------------------------------------------
+# Payloads: a family's payload is its dataclass fields
+
+
+# (encode, decode) pairs for fitted state that JSON cannot hold as is
+_ARRAY = (array_to_doc, doc_to_array)
+_TREE = (_Tree.to_doc, _Tree.from_doc)
+
+
+def _each(codec):
+    encode, decode = codec
+    return (lambda items: [encode(item) for item in items],
+            lambda docs: [decode(doc) for doc in docs])
+
+
+def _by_name(codec):
+    encode, decode = codec
+    return (lambda items: {name: encode(item) for name, item in items.items()},
+            lambda docs: {name: decode(doc) for name, doc in docs.items()})
+
+
+def _fitted(codec, **kwargs):
+    """A fitted-state field, stored in the payload through ``codec``."""
+    return field(metadata={"codec": codec}, **kwargs)
+
+
+_CASTS = {"int": int, "float": float}
+
+
+class _Family:
+    """Payload codec shared by the families.
+
+    Each field is one payload key; hyperparameters and ``n_classes`` are
+    stored as they are, fitted state through its field's codec.
+    """
+
+    def __post_init__(self):
+        # hyperparameters keep the JSON type their annotation names
+        for f in fields(self):
+            cast = _CASTS.get(f.type)
+            if cast is not None:
+                setattr(self, f.name, cast(getattr(self, f.name)))
+
+    def payload(self) -> dict:
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            codec = f.metadata.get("codec")
+            doc[f.name] = value if codec is None else codec[0](value)
+        return doc
+
+    @classmethod
+    def from_payload(cls, doc: dict):
+        values = {}
+        for f in fields(cls):
+            codec = f.metadata.get("codec")
+            values[f.name] = doc[f.name] if codec is None else codec[1](doc[f.name])
+        return cls(**values)
+
+
+# ---------------------------------------------------------------------------
 # Families
 
 
-class DecisionTreeModel:
+@dataclass(eq=False)
+class DecisionTreeModel(_Family):
     """Single axis-aligned tree; impurity scanned with the Gini criterion."""
 
     family = "dt"
 
-    def __init__(self, max_depth: int = 16, min_leaf: int = 1):
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.n_classes = 0
-        self.tree: _Tree | None = None
+    max_depth: int = 16
+    min_leaf: int = 1
+    n_classes: int = 0
+    tree: _Tree | None = _fitted(_TREE, default=None)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         self.n_classes = n_classes
@@ -300,29 +356,19 @@ class DecisionTreeModel:
     def predict_codes(self, X) -> np.ndarray:
         return self.tree.leaf[self.tree.apply(X)]
 
-    def payload(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf,
-                "n_classes": self.n_classes, "tree": self.tree.to_doc()}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "DecisionTreeModel":
-        model = cls(doc["max_depth"], doc["min_leaf"])
-        model.n_classes = doc["n_classes"]
-        model.tree = _Tree.from_doc(doc["tree"])
-        return model
 
 
-class RandomForestModel:
+@dataclass(eq=False)
+class RandomForestModel(_Family):
     """Bagged Gini trees with sqrt-width feature subsampling per node."""
 
     family = "rf"
 
-    def __init__(self, n_trees: int = 100, max_depth: int = 16, min_leaf: int = 1):
-        self.n_trees = int(n_trees)
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.n_classes = 0
-        self.trees: list[_Tree] = []
+    n_trees: int = 100
+    max_depth: int = 16
+    min_leaf: int = 1
+    n_classes: int = 0
+    trees: list[_Tree] = _fitted(_each(_TREE), default_factory=list)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         self.n_classes = n_classes
@@ -345,20 +391,10 @@ class RandomForestModel:
             votes[rows, tree.leaf[tree.apply(X)]] += 1
         return np.argmax(votes, axis=1).astype(np.int64)
 
-    def payload(self) -> dict:
-        return {"n_trees": self.n_trees, "max_depth": self.max_depth,
-                "min_leaf": self.min_leaf, "n_classes": self.n_classes,
-                "trees": [t.to_doc() for t in self.trees]}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "RandomForestModel":
-        model = cls(doc["n_trees"], doc["max_depth"], doc["min_leaf"])
-        model.n_classes = doc["n_classes"]
-        model.trees = [_Tree.from_doc(t) for t in doc["trees"]]
-        return model
 
 
-class KnnModel:
+@dataclass(eq=False)
+class KnnModel(_Family):
     """Brute-force k-nearest-neighbours on stored training points.
 
     Neighbour order is squared-Euclidean distance with stable index
@@ -367,11 +403,10 @@ class KnnModel:
 
     family = "knn"
 
-    def __init__(self, k: int = 5):
-        self.k = int(k)
-        self.n_classes = 0
-        self.points: np.ndarray | None = None
-        self.codes: np.ndarray | None = None
+    k: int = 5
+    n_classes: int = 0
+    points: np.ndarray | None = _fitted(_ARRAY, default=None)
+    codes: np.ndarray | None = _fitted(_ARRAY, default=None)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         if not np.isfinite(X).all():
@@ -398,31 +433,19 @@ class KnnModel:
                 out[start + i] = int(np.argmax(counts))
         return out
 
-    def payload(self) -> dict:
-        return {"k": self.k, "n_classes": self.n_classes,
-                "points": array_to_doc(self.points),
-                "codes": array_to_doc(self.codes)}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "KnnModel":
-        model = cls(doc["k"])
-        model.n_classes = doc["n_classes"]
-        model.points = doc_to_array(doc["points"])
-        model.codes = doc_to_array(doc["codes"])
-        return model
 
 
-class GaussianNbModel:
+@dataclass(eq=False)
+class GaussianNbModel(_Family):
     """Per-class Gaussian likelihoods with a variance floor."""
 
     family = "gbay"
 
-    def __init__(self, var_floor: float = 1e-9):
-        self.var_floor = float(var_floor)
-        self.n_classes = 0
-        self.log_prior: np.ndarray | None = None
-        self.mean: np.ndarray | None = None
-        self.var: np.ndarray | None = None
+    var_floor: float = 1e-9
+    n_classes: int = 0
+    log_prior: np.ndarray | None = _fitted(_ARRAY, default=None)
+    mean: np.ndarray | None = _fitted(_ARRAY, default=None)
+    var: np.ndarray | None = _fitted(_ARRAY, default=None)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         self.n_classes = n_classes
@@ -455,22 +478,10 @@ class GaussianNbModel:
             )
         return np.argmax(scores, axis=1).astype(np.int64)
 
-    def payload(self) -> dict:
-        return {"var_floor": self.var_floor, "n_classes": self.n_classes,
-                "log_prior": array_to_doc(self.log_prior),
-                "mean": array_to_doc(self.mean), "var": array_to_doc(self.var)}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "GaussianNbModel":
-        model = cls(doc["var_floor"])
-        model.n_classes = doc["n_classes"]
-        model.log_prior = doc_to_array(doc["log_prior"])
-        model.mean = doc_to_array(doc["mean"])
-        model.var = doc_to_array(doc["var"])
-        return model
 
 
-class RidgeModel:
+@dataclass(eq=False)
+class RidgeModel(_Family):
     """One-vs-rest ridge regression on +/-1 targets, closed form.
 
     A bias column is appended and regularized with the rest; alpha > 0
@@ -479,10 +490,9 @@ class RidgeModel:
 
     family = "rid"
 
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = float(alpha)
-        self.n_classes = 0
-        self.weights: np.ndarray | None = None  # (width+1, n_classes)
+    alpha: float = 1.0
+    n_classes: int = 0
+    weights: np.ndarray | None = _fitted(_ARRAY, default=None)  # (width+1, n_classes)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         if self.alpha <= 0:
@@ -504,19 +514,10 @@ class RidgeModel:
     def predict_codes(self, X) -> np.ndarray:
         return np.argmax(self._scores(X), axis=1).astype(np.int64)
 
-    def payload(self) -> dict:
-        return {"alpha": self.alpha, "n_classes": self.n_classes,
-                "weights": array_to_doc(self.weights)}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "RidgeModel":
-        model = cls(doc["alpha"])
-        model.n_classes = doc["n_classes"]
-        model.weights = doc_to_array(doc["weights"])
-        return model
 
 
-class LinearSvmModel:
+@dataclass(eq=False)
+class LinearSvmModel(_Family):
     """One-vs-rest linear hinge classifier, batch subgradient descent.
 
     Minimizes lam/2 ||w||^2 + mean(hinge) per class with the diminishing
@@ -525,12 +526,11 @@ class LinearSvmModel:
 
     family = "svm"
 
-    def __init__(self, lam: float = 1e-2, epochs: int = 100):
-        self.lam = float(lam)
-        self.epochs = int(epochs)
-        self.n_classes = 0
-        self.weights: np.ndarray | None = None  # (width, n_classes)
-        self.bias: np.ndarray | None = None
+    lam: float = 1e-2
+    epochs: int = 100
+    n_classes: int = 0
+    weights: np.ndarray | None = _fitted(_ARRAY, default=None)  # (width, n_classes)
+    bias: np.ndarray | None = _fitted(_ARRAY, default=None)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         self.n_classes = n_classes
@@ -554,17 +554,6 @@ class LinearSvmModel:
     def predict_codes(self, X) -> np.ndarray:
         return np.argmax(X @ self.weights + self.bias, axis=1).astype(np.int64)
 
-    def payload(self) -> dict:
-        return {"lam": self.lam, "epochs": self.epochs, "n_classes": self.n_classes,
-                "weights": array_to_doc(self.weights), "bias": array_to_doc(self.bias)}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "LinearSvmModel":
-        model = cls(doc["lam"], doc["epochs"])
-        model.n_classes = doc["n_classes"]
-        model.weights = doc_to_array(doc["weights"])
-        model.bias = doc_to_array(doc["bias"])
-        return model
 
 
 def mlp_loss_and_grad(params: dict, X: np.ndarray, onehot: np.ndarray):
@@ -594,17 +583,17 @@ def mlp_loss_and_grad(params: dict, X: np.ndarray, onehot: np.ndarray):
     return loss, grads
 
 
-class MlpModel:
+@dataclass(eq=False)
+class MlpModel(_Family):
     """One hidden tanh layer, softmax output, full-batch gradient descent."""
 
     family = "mlp"
 
-    def __init__(self, hidden: int = 32, lr: float = 0.1, epochs: int = 150):
-        self.hidden = int(hidden)
-        self.lr = float(lr)
-        self.epochs = int(epochs)
-        self.n_classes = 0
-        self.params: dict[str, np.ndarray] = {}
+    hidden: int = 32
+    lr: float = 0.1
+    epochs: int = 150
+    n_classes: int = 0
+    params: dict[str, np.ndarray] = _fitted(_by_name(_ARRAY), default_factory=dict)
 
     def fit(self, X, y, n_classes, rng, clock=None):
         self.n_classes = n_classes
@@ -630,33 +619,22 @@ class MlpModel:
         scores = a1 @ self.params["W2"] + self.params["b2"]
         return np.argmax(scores, axis=1).astype(np.int64)
 
-    def payload(self) -> dict:
-        return {"hidden": self.hidden, "lr": self.lr, "epochs": self.epochs,
-                "n_classes": self.n_classes,
-                "params": {k: array_to_doc(v) for k, v in self.params.items()}}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "MlpModel":
-        model = cls(doc["hidden"], doc["lr"], doc["epochs"])
-        model.n_classes = doc["n_classes"]
-        model.params = {k: doc_to_array(v) for k, v in doc["params"].items()}
-        return model
 
 
-class XgbLikeModel:
+@dataclass(eq=False)
+class XgbLikeModel(_Family):
     """Additive Newton regression trees on the multiclass logistic loss."""
 
     family = "xgb"
 
-    def __init__(self, n_rounds: int = 50, max_depth: int = 3, lr: float = 0.2,
-                 lam: float = 1.0, min_leaf: int = 1):
-        self.n_rounds = int(n_rounds)
-        self.max_depth = int(max_depth)
-        self.lr = float(lr)
-        self.lam = float(lam)
-        self.min_leaf = int(min_leaf)
-        self.n_classes = 0
-        self.trees: list[list[_Tree]] = []  # [round][class]
+    n_rounds: int = 50
+    max_depth: int = 3
+    lr: float = 0.2
+    lam: float = 1.0
+    min_leaf: int = 1
+    n_classes: int = 0
+    trees: list[list[_Tree]] = _fitted(  # [round][class]
+        _each(_each(_TREE)), default_factory=list)
 
     @staticmethod
     def _softmax(F: np.ndarray) -> np.ndarray:
@@ -695,19 +673,6 @@ class XgbLikeModel:
                 F[:, c] += self.lr * tree.leaf[tree.apply(X)]
         return np.argmax(F, axis=1).astype(np.int64)
 
-    def payload(self) -> dict:
-        return {"n_rounds": self.n_rounds, "max_depth": self.max_depth,
-                "lr": self.lr, "lam": self.lam, "min_leaf": self.min_leaf,
-                "n_classes": self.n_classes,
-                "trees": [[t.to_doc() for t in rt] for rt in self.trees]}
-
-    @classmethod
-    def from_payload(cls, doc: dict) -> "XgbLikeModel":
-        model = cls(doc["n_rounds"], doc["max_depth"], doc["lr"], doc["lam"],
-                    doc["min_leaf"])
-        model.n_classes = doc["n_classes"]
-        model.trees = [[_Tree.from_doc(t) for t in rt] for rt in doc["trees"]]
-        return model
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +681,6 @@ class XgbLikeModel:
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    name: str
-    display: str
     tier: str
     rank: int  # fixed tie-break order for select_optimal
     factory: type
@@ -726,21 +689,19 @@ class FamilyInfo:
 
 
 FAMILIES: dict[str, FamilyInfo] = {
-    "dt": FamilyInfo("dt", "decision tree", REQUIRED_TIER, 0, DecisionTreeModel,
+    "dt": FamilyInfo(REQUIRED_TIER, 0, DecisionTreeModel,
                      {"max_depth": (4, 8, 16, 32), "min_leaf": (1, 4)}, 6),
-    "rf": FamilyInfo("rf", "random forest", REQUIRED_TIER, 1, RandomForestModel,
+    "rf": FamilyInfo(REQUIRED_TIER, 1, RandomForestModel,
                      {"n_trees": (50, 100), "max_depth": (8, 16)}, 8),
-    "knn": FamilyInfo("knn", "k-nearest neighbours", REQUIRED_TIER, 2, KnnModel,
-                      {"k": (1, 3, 5, 9)}, 3),
-    "gbay": FamilyInfo("gbay", "gaussian naive bayes", REQUIRED_TIER, 3,
-                       GaussianNbModel, {"var_floor": (1e-9, 1e-7)}, 2),
-    "rid": FamilyInfo("rid", "ridge classifier", REQUIRED_TIER, 4, RidgeModel,
-                      {"alpha": (0.1, 1.0, 10.0)}, 4),
-    "svm": FamilyInfo("svm", "linear svm", OPTIONAL_TIER, 5, LinearSvmModel,
+    "knn": FamilyInfo(REQUIRED_TIER, 2, KnnModel, {"k": (1, 3, 5, 9)}, 3),
+    "gbay": FamilyInfo(REQUIRED_TIER, 3, GaussianNbModel,
+                       {"var_floor": (1e-9, 1e-7)}, 2),
+    "rid": FamilyInfo(REQUIRED_TIER, 4, RidgeModel, {"alpha": (0.1, 1.0, 10.0)}, 4),
+    "svm": FamilyInfo(OPTIONAL_TIER, 5, LinearSvmModel,
                       {"lam": (1e-4, 1e-2), "epochs": (50, 100)}, 3),
-    "mlp": FamilyInfo("mlp", "multilayer perceptron", OPTIONAL_TIER, 6, MlpModel,
+    "mlp": FamilyInfo(OPTIONAL_TIER, 6, MlpModel,
                       {"hidden": (16, 64), "lr": (0.05, 0.2)}, 6),
-    "xgb": FamilyInfo("xgb", "boosted trees", OPTIONAL_TIER, 7, XgbLikeModel,
+    "xgb": FamilyInfo(OPTIONAL_TIER, 7, XgbLikeModel,
                       {"n_rounds": (40, 80), "max_depth": (3, 5)}, 8),
 }
 

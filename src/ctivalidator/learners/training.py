@@ -156,14 +156,6 @@ def split(y_codes: np.ndarray, test_fraction: float, seed: int) -> SplitResult:
             quota[pos] += 1
             deficit -= 1
         step += 1
-    while deficit < 0:
-        for pos in order[::-1]:
-            if quota[pos] > 0:
-                quota[pos] -= 1
-                deficit += 1
-                break
-        else:
-            break
     if int(quota.sum()) != n_test:
         # capacity exhausted (huge fraction, many tiny classes): plain split
         perm = rng.permutation(n)
@@ -372,8 +364,8 @@ class BuildReport:
 # Candidate builds and selection
 
 
-def build_candidates(table, requirement=None, budget: BuildBudget = DEFAULT_BUDGET,
-                     seed: int = 0, *, tiers=DEFAULT_TIERS,
+def build_candidates(table, budget: BuildBudget = DEFAULT_BUDGET, seed: int = 0,
+                     *, tiers=DEFAULT_TIERS,
                      n_trials: int = DEFAULT_N_TRIALS,
                      requirement_key: str = "") -> BuildReport:
     """Build every (scheme x family) candidate for a selected table.

@@ -34,7 +34,6 @@ from . import features, ingest, schema
 from .errors import (
     ContractError,
     DataUnavailableError,
-    NoModelFoundError,
     StorageError,
     UnknownAttributeError,
 )
@@ -532,16 +531,12 @@ class Orchestrator:
         with self._stats_lock:
             self.stats.builds += 1
         report = build_candidates(
-            table, requirement, budget=self.config.budget, seed=self.config.seed,
+            table, budget=self.config.budget, seed=self.config.seed,
             tiers=self.config.tiers, n_trials=self.config.n_trials,
             requirement_key=key)
         if report.all_failed:
             return _BuildResult(best=None, report=report)
-        try:
-            best = select_optimal(report.candidates)
-        except NoModelFoundError:
-            return _BuildResult(best=None, report=report)
-        return _BuildResult(best=best, report=report)
+        return _BuildResult(best=select_optimal(report.candidates), report=report)
 
 
 def _alert_columns(rows, observed) -> dict[str, list]:

@@ -163,10 +163,3 @@ class TestDocuments:
 
     def test_doc_carries_version(self):
         assert E.report_to_doc(self.report())["format_version"] == "1"
-
-    def test_text_rendering_mentions_key_numbers(self):
-        text = E.report_to_text(self.report(),
-                                E.TimingReport(train_time=1.0, predict_time=0.5))
-        assert "accuracy" in text
-        assert "f1" in text
-        assert "support" in text

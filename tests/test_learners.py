@@ -396,18 +396,100 @@ class TestMlpGradient:
         assert worst < 1e-4
 
 
+# The stored keys of each family's payload: its dataclass fields.
+PAYLOAD_KEYS = {
+    "dt": {"max_depth", "min_leaf", "n_classes", "tree"},
+    "rf": {"n_trees", "max_depth", "min_leaf", "n_classes", "trees"},
+    "knn": {"k", "n_classes", "points", "codes"},
+    "gbay": {"var_floor", "n_classes", "log_prior", "mean", "var"},
+    "rid": {"alpha", "n_classes", "weights"},
+    "svm": {"lam", "epochs", "n_classes", "weights", "bias"},
+    "mlp": {"hidden", "lr", "epochs", "n_classes", "params"},
+    "xgb": {"n_rounds", "max_depth", "lr", "lam", "min_leaf", "n_classes", "trees"},
+}
+
+# A model file of format "2": a `dt` on label-tfidf over one structured-text
+# column (vocabulary and idf) and one categorical column (categories), built
+# from planted_dataset(n=10, seed=5) with seed 7.  Loading it and writing it
+# again must give these bytes.
+DT_FORMAT_2 = (
+    r'{"encoder_spec":"{\"columns\":[{\"categories\":[],\"encoder_type'
+    r'\":\"tfidf\",\"idf\":[2.7047480922384253,1.7884573603642702,1.0,'
+    r'1.0,2.7047480922384253,2.7047480922384253,2.7047480922384253,2.7'
+    r'047480922384253,2.2992829841302607,2.7047480922384253,2.70474809'
+    r'22384253,1.7884573603642702,2.7047480922384253,2.704748092238425'
+    r'3,2.7047480922384253],\"kind\":\"structured-string\",\"mean\":0.'
+    r'0,\"name\":\"domain\",\"stddev\":1.0,\"vocabulary\":[\"host4\",\"'
+    r'floodway\",\"example\",\"com\",\"host5\",\"host6\",\"host7\",\"h'
+    r'ost8\",\"credful\",\"host9\",\"host0\",\"cryptlock\",\"host1\",\"'
+    r'host2\",\"host3\"]},{\"categories\":[\"443\",\"8080\",\"80\"],\"'
+    r'encoder_type\":\"label\",\"idf\":[],\"kind\":\"categorical\",\"m'
+    r'ean\":0.0,\"name\":\"port\",\"stddev\":1.0,\"vocabulary\":[]}],\"'
+    r'format_version\":\"1\",\"scheme\":\"label-tfidf\",\"text\":{\"st'
+    r'em\":true,\"stop_words\":[\"a\",\"an\",\"and\",\"any\",\"are\",\"'
+    r'as\",\"at\",\"be\",\"been\",\"but\",\"by\",\"for\",\"from\",\"ha'
+    r's\",\"have\",\"in\",\"is\",\"it\",\"its\",\"of\",\"on\",\"or\",\"'
+    r'that\",\"the\",\"these\",\"this\",\"those\",\"to\",\"was\",\"wer'
+    r'e\",\"with\"]}}","eval":{"accuracy":1.0,"averaging":"macro","f1"'
+    r':1.0,"format_version":"1","n_items":3,"per_class":[{"f1":1.0,"fn'
+    r'":0,"fp":0,"label":"ddos","precision":1.0,"recall":1.0,"support"'
+    r':1,"tn":2,"tp":1,"zero_division":[]},{"f1":1.0,"fn":0,"fp":0,"la'
+    r'bel":"phishing","precision":1.0,"recall":1.0,"support":1,"tn":2,'
+    r'"tp":1,"zero_division":[]},{"f1":1.0,"fn":0,"fp":0,"label":"rans'
+    r'om","precision":1.0,"recall":1.0,"support":1,"tn":2,"tp":1,"zero'
+    r'_division":[]}],"precision":1.0,"recall":1.0},"family":"dt","for'
+    r'mat_version":"2","label_map":["ddos","phishing","ransom"],"param'
+    r's":{"max_depth":4,"min_leaf":1},"payload":{"max_depth":4,"min_le'
+    r'af":1,"n_classes":3,"tree":{"feature":{"data":"AQAAAAAAAAACAAAAA'
+    r'AAAAP///////////////////////////////w==","dtype":"int64","shape"'
+    r':[5]},"leaf":{"data":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQAAAAAAAA'
+    r'ACAAAAAAAAAA==","dtype":"int64","shape":[5]},"left":{"data":"AQA'
+    r'AAAAAAAADAAAAAAAAAP///////////////////////////////w==","dtype":"'
+    r'int64","shape":[5]},"right":{"data":"AgAAAAAAAAAEAAAAAAAAAP/////'
+    r'//////////////////////////w==","dtype":"int64","shape":[5]},"thr'
+    r'eshold":{"data":"qlYb+5Qt0D9STVHcf2vRPwAAAAAAAAAAAAAAAAAAAAAAAAA'
+    r'AAAAAAA==","dtype":"float64","shape":[5]}}},"requirement_key":"l'
+    r'iteral","scheme":"label-tfidf","seed":700022}'
+)
+
+
+def fitted_family(family):
+    r = rng(21)
+    X = r.normal(size=(80, 5))
+    y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
+    model = make_model(family, learners.grid_points(family)[0])
+    model.fit(X, y, 2, rng(3))
+    return model, X
+
+
 class TestPayloadRoundTrip:
     @pytest.mark.parametrize("family", sorted(learners.FAMILIES))
     def test_predictions_survive_json(self, family):
-        r = rng(21)
-        X = r.normal(size=(80, 5))
-        y = (X[:, 0] + X[:, 1] > 0).astype(np.int64)
-        params = learners.grid_points(family)[0]
-        model = make_model(family, params)
-        model.fit(X, y, 2, rng(3))
+        model, X = fitted_family(family)
         payload = json.loads(json.dumps(model.payload()))
         clone = model_from_payload(family, payload)
         assert (clone.predict_codes(X) == model.predict_codes(X)).all()
+
+    @pytest.mark.parametrize("family", sorted(learners.FAMILIES))
+    def test_payload_bytes_survive_json(self, family):
+        model, _ = fitted_family(family)
+        text = json.dumps(model.payload(), sort_keys=True)
+        clone = model_from_payload(family, json.loads(text))
+        assert json.dumps(clone.payload(), sort_keys=True) == text
+
+    def test_payload_keys_are_pinned(self):
+        assert set(PAYLOAD_KEYS) == set(learners.FAMILIES)
+        for family, keys in PAYLOAD_KEYS.items():
+            assert set(fitted_family(family)[0].payload()) == keys, family
+
+    def test_format_2_file_reloads_to_its_own_bytes(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(DT_FORMAT_2, encoding="utf-8")
+        back = learners.TrainedModel.load(path)
+        assert back.canonical_bytes() == DT_FORMAT_2.encode("utf-8")
+        spec = {a.name: a for a in back.encoder_spec.artifacts}
+        assert spec["port"].categories == ("443", "8080", "80")
+        assert len(spec["domain"].vocabulary) == len(spec["domain"].idf) == 15
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ContractError):
