@@ -9,10 +9,13 @@ The flow for one validation request:
 3. on a miss, check whether the dataset can supply the requested columns.
    No usable rows means the outcome is not-applicable and a data request
    goes to the threat-intelligence team;
-4. otherwise build candidate models, select the best survivor, and gate it
-   by the confidence threshold.  Models that clear the gate are registered
-   for reuse; models below it are never stored and the data-science team
-   is notified.
+4. otherwise answer from the key's withheld memo when one recorded, under
+   the same build config, a best F1 below this request's threshold: the
+   build is deterministic, so it would end in the same refusal.  Else build
+   candidate models, select the best survivor, and gate it by the
+   confidence threshold.  Models that clear the gate are registered for
+   reuse; models below it are never stored, the data-science team is
+   notified, and the best F1 is remembered in the memo.
 
 Identical requirements arriving concurrently share a single build
 (single-flight).  The registry keeps one model file per key, survives
@@ -21,6 +24,7 @@ restarts and is safe for threads and processes sharing one root.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import fcntl
 import hashlib
@@ -60,6 +64,8 @@ THREAT_INTEL_TEAM = "threat-intel-team"
 REASON_NO_DATA = "no-data"
 REASON_BELOW_CONFIDENCE = "below-confidence"
 REASON_ALL_TIMED_OUT = "all-timed-out"
+
+_WITHHELD_FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -273,6 +279,12 @@ class ModelRegistry:
     non-decreasing per key: a candidate with a lower F1 than the incumbent
     is refused, an equal one replaces it.
 
+    A key may also hold ``withheld.json``, the withheld memo: the best F1 a
+    build reached when it was refused at its bar, with the key and the
+    build config it came from.  It is a cache, never a model: it is written
+    under the same lock, never listed or served, and deleting it only costs
+    one rebuild.
+
     Lookups are served from an in-process cache while the cached model
     clears the asked bar.  Otherwise the file is checked again, because
     another process may have stored a better model since; it is decoded
@@ -326,17 +338,23 @@ class ModelRegistry:
             self._stamps[key] = stamp
         return model if model.f1 >= confidence else None
 
+    @contextlib.contextmanager
+    def _locked(self, key: str):
+        """Hold the key's exclusive ``flock``; yields the key's directory."""
+        key_dir = self.root / "models" / _key_id(key)
+        key_dir.mkdir(parents=True, exist_ok=True)
+        with open(key_dir / "lock", "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when closed
+            yield key_dir
+
     def register(self, key: str, model: TrainedModel) -> bool:
         """Store a model for a key; last writer wins unless it is worse."""
         if model.requirement_key != key:
             raise ContractError(f"model built for {model.requirement_key!r} "
                                 f"cannot be stored under {key!r}")
-        model_dir = self.root / "models" / _key_id(key)
-        model_path = model_dir / "model.json"
         try:
-            model_dir.mkdir(parents=True, exist_ok=True)
-            with open(model_dir / "lock", "ab") as lock:
-                fcntl.flock(lock, fcntl.LOCK_EX)  # released when closed
+            with self._locked(key) as model_dir:
+                model_path = model_dir / "model.json"
                 stored = self._read(model_path)
                 if stored is not None and stored.f1 > model.f1:
                     return False
@@ -348,6 +366,34 @@ class ModelRegistry:
         except OSError as exc:
             raise StorageError(f"cannot write model for {key}: {exc}") from exc
         return True
+
+    def withheld_f1(self, key: str, build: dict) -> float | None:
+        """The memo's best F1 for a key, if it was reached under ``build``."""
+        path = self.root / "models" / _key_id(key) / "withheld.json"
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                memo = json.load(handle)
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StorageError(f"cannot read withheld memo {path}: {exc}") from exc
+        if (memo.get("format_version") != _WITHHELD_FORMAT_VERSION
+                or memo.get("requirement_key") != key or memo.get("build") != build):
+            return None
+        return memo["best_f1"]
+
+    def remember_withheld(self, key: str, best_f1: float, build: dict) -> None:
+        """Record that a build under ``build`` reached only ``best_f1``."""
+        memo = {"format_version": _WITHHELD_FORMAT_VERSION,
+                "requirement_key": key, "best_f1": best_f1, "build": build}
+        try:
+            with self._locked(key) as key_dir:
+                tmp = key_dir / "withheld.json.tmp"
+                tmp.write_text(json.dumps(memo, sort_keys=True, separators=(",", ":")),
+                               encoding="utf-8")
+                tmp.replace(key_dir / "withheld.json")
+        except OSError as exc:
+            raise StorageError(f"cannot write withheld memo for {key}: {exc}") from exc
 
     def entries(self) -> list[dict]:
         """One row per stored model, read from its document's plain fields.
@@ -386,12 +432,21 @@ class BuildConfig:
     tiers: tuple[str, ...] = DEFAULT_TIERS
     n_trials: int = DEFAULT_N_TRIALS
 
+    def to_doc(self) -> dict:
+        """Every input of a build besides the data, as the withheld memo
+        stores it."""
+        return {"seed": self.seed, "tiers": list(self.tiers),
+                "n_trials": self.n_trials,
+                "wall_clock_limit": self.budget.wall_clock_limit,
+                "memory_limit": self.budget.memory_limit}
+
 
 @dataclass
 class OrchestratorStats:
     builds: int = 0
     cache_hits: int = 0
     flight_joins: int = 0
+    memo_hits: int = 0  # below-bar answers from the withheld memo, no build
 
 
 @dataclass
@@ -442,6 +497,15 @@ class Orchestrator:
                 self.stats.cache_hits += 1
             return self._predict(requirement, key, model, alert_rows, from_cache=True)
 
+        # Before the flight, which is shared by key: a memo answer handed to
+        # a joiner whose bar is at or below the memo F1 would wrongly refuse it.
+        build = self.config.to_doc()
+        memo_f1 = self.registry.withheld_f1(key, build)
+        if memo_f1 is not None and memo_f1 < requirement.confidence:
+            with self._stats_lock:
+                self.stats.memo_hits += 1
+            return self._withhold(key, requirement, memo_f1)
+
         result = self._build_shared(key, requirement, dataset)
         if result.missing:
             request = DataRequested(missing=result.missing, requirement_key=key)
@@ -457,11 +521,11 @@ class Orchestrator:
 
         best = result.best
         if best.f1 < requirement.confidence:
-            self.notifier.notify(
-                DATA_SCIENCE_TEAM, REASON_BELOW_CONFIDENCE, key,
-                f"best model f1={best.f1:.4f} below confidence "
-                f"{requirement.confidence:.4f}; manual analysis required")
-            return NotApplicable(reason=REASON_BELOW_CONFIDENCE, best_f1=best.f1)
+            # A build that hit the clock may end differently next time.
+            if result.report is not None and not any(
+                    f.kind == "time" for f in result.report.failures):
+                self.registry.remember_withheld(key, best.f1, build)
+            return self._withhold(key, requirement, best.f1)
 
         self.registry.register(key, best)
         return self._predict(requirement, key, best, alert_rows, from_cache=False)
@@ -475,6 +539,14 @@ class Orchestrator:
         return self.validate(requirement, dataset, alert_rows=[])
 
     # -- internals ------------------------------------------------------------
+
+    def _withhold(self, key: str, requirement: Requirement,
+                  best_f1: float) -> NotApplicable:
+        self.notifier.notify(
+            DATA_SCIENCE_TEAM, REASON_BELOW_CONFIDENCE, key,
+            f"best model f1={best_f1:.4f} below confidence "
+            f"{requirement.confidence:.4f}; manual analysis required")
+        return NotApplicable(reason=REASON_BELOW_CONFIDENCE, best_f1=best_f1)
 
     def _predict(self, requirement: Requirement, key: str, model: TrainedModel,
                  alert_rows, from_cache: bool) -> Predicted:

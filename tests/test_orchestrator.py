@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import multiprocessing
+import shutil
+import sys
 import threading
 
 import pytest
 
-from ctivalidator import features, ingest, learners, orchestrator as O
+from ctivalidator import cli, features, ingest, learners, orchestrator as O
 from ctivalidator.errors import ContractError, UnknownAttributeError
 
 from fixture_lib import (
@@ -502,3 +504,157 @@ class TestSingleFlight:
         keys = {o.model_key for o in outcomes}
         assert len(keys) == 1
         assert all(isinstance(o, O.Predicted) for o in outcomes)
+
+
+NOISY_REQ = O.Requirement(observed=("domain",), label="attack", confidence=0.9)
+
+
+@pytest.fixture(scope="module")
+def memo_root(tmp_path_factory):
+    """A root whose noisy key holds a withheld memo and no model: seed 7,
+    asked once at bar 0.9.  Returns (root, the memo's best F1)."""
+    root = tmp_path_factory.mktemp("memo")
+    orch, _, _ = make_orchestrator(root, seed=7)
+    outcome = orch.validate(NOISY_REQ, noisy_dataset(), [])
+    assert outcome.reason == O.REASON_BELOW_CONFIDENCE
+    return root, outcome.best_f1
+
+
+def copy_root(memo_root, tmp_path) -> float:
+    root, best_f1 = memo_root
+    shutil.copytree(root / "registry", tmp_path / "registry")
+    return best_f1
+
+
+class Rebuilt(Exception):
+    pass
+
+
+def forbid_builds(monkeypatch):
+    """Make the first step of any build raise Rebuilt."""
+    def refuse(*args, **kwargs):
+        raise Rebuilt
+    monkeypatch.setattr(ingest, "select_columns", refuse)
+    monkeypatch.setattr(O, "build_candidates", refuse)
+
+
+class TestWithheldMemo:
+    def test_repeat_answers_from_the_memo(self, tmp_path, monkeypatch):
+        orch, registry, notifier = make_orchestrator(tmp_path, seed=7)
+        dataset = noisy_dataset()
+        first = orch.validate(NOISY_REQ, dataset, [])
+        assert first.reason == O.REASON_BELOW_CONFIDENCE
+        forbid_builds(monkeypatch)
+        second = orch.validate(NOISY_REQ, dataset, [])
+        assert second == first
+        before, after = notifier.entries()
+        assert dataclasses.replace(after, created_at=before.created_at) == before
+        assert after.channel == O.DATA_SCIENCE_TEAM
+        assert (orch.stats.builds, orch.stats.memo_hits) == (1, 1)
+        assert len(registry) == 0
+
+    def test_new_registry_on_the_root_uses_the_memo(self, memo_root, tmp_path,
+                                                     monkeypatch, capsys):
+        best_f1 = copy_root(memo_root, tmp_path)
+        forbid_builds(monkeypatch)
+        orch, registry, notifier = make_orchestrator(tmp_path, seed=7)
+        outcome = orch.validate(NOISY_REQ, noisy_dataset(), [])
+        assert outcome == O.NotApplicable(reason=O.REASON_BELOW_CONFIDENCE,
+                                          best_f1=best_f1)
+        [note] = notifier.entries()
+        assert note.channel == O.DATA_SCIENCE_TEAM
+        assert f"f1={best_f1:.4f}" in note.message
+        assert (orch.stats.builds, orch.stats.memo_hits) == (0, 1)
+        # the memo is never a model
+        assert len(registry) == 0 and registry.entries() == []
+        assert cli.main(["registry-list", "--registry", str(registry.root),
+                         "--json"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == []
+
+    @pytest.mark.parametrize("config, data", [
+        (dict(seed=8), {}),
+        (dict(seed=7, tiers=("required", "optional")), {}),
+        (dict(seed=7, n_trials=3), {}),
+        (dict(seed=7, budget=learners.BuildBudget(memory_limit=2**30)), {}),
+        (dict(seed=7), dict(seed=12)),
+    ], ids=["seed", "tiers", "n_trials", "budget", "dataset"])
+    def test_other_build_inputs_rebuild(self, memo_root, tmp_path, monkeypatch,
+                                        config, data):
+        copy_root(memo_root, tmp_path)
+        forbid_builds(monkeypatch)
+        orch, _, notifier = make_orchestrator(tmp_path, **config)
+        with pytest.raises(Rebuilt):
+            orch.validate(NOISY_REQ, noisy_dataset(**data), [])
+        assert orch.stats.memo_hits == 0 and notifier.entries() == []
+
+    def test_bar_at_the_memo_f1_builds_and_stores(self, memo_root, tmp_path,
+                                                  capsys):
+        best_f1 = copy_root(memo_root, tmp_path)
+        orch, registry, notifier = make_orchestrator(tmp_path, seed=7)
+        req = dataclasses.replace(NOISY_REQ, confidence=best_f1)
+        outcome = orch.validate(req, noisy_dataset(), [])
+        assert isinstance(outcome, O.Predicted) and not outcome.from_cache
+        assert outcome.f1 == best_f1
+        assert (orch.stats.builds, orch.stats.memo_hits) == (1, 0)
+        assert notifier.entries() == []
+        [entry] = registry.entries()
+        assert len(registry) == 1 and entry["path"].endswith("model.json")
+        cli.main(["registry-list", "--registry", str(registry.root), "--json"])
+        assert [e["key"] for e in json.loads(capsys.readouterr().out)] == [
+            outcome.model_key]
+
+    @pytest.mark.parametrize("kind", ["time", "memory"])
+    def test_memo_only_from_a_build_without_time_failures(
+            self, tmp_path, monkeypatch, noisy_model, kind):
+        dataset = noisy_dataset()
+        key = O.requirement_key(NOISY_REQ, dataset.fingerprint)
+        report = learners.BuildReport(
+            candidates=[for_key(noisy_model, key)],
+            failures=[learners.CandidateFailure("rid", "onehot-count", kind, 1.0)])
+        monkeypatch.setattr(O, "build_candidates", lambda *a, **k: report)
+        orch, registry, _ = make_orchestrator(tmp_path, seed=7)
+        outcome = orch.validate(NOISY_REQ, dataset, [])
+        assert outcome.reason == O.REASON_BELOW_CONFIDENCE
+        memo = registry.withheld_f1(key, orch.config.to_doc())
+        assert memo == (None if kind == "time" else noisy_model.f1)
+
+    def test_concurrent_bars_on_both_sides_of_the_memo(self, memo_root,
+                                                       tmp_path):
+        best_f1 = copy_root(memo_root, tmp_path)
+        orch, registry, _ = make_orchestrator(tmp_path, seed=7)
+        dataset = noisy_dataset()
+        bars = [0.9, 0.5] * 4
+        outcomes = [None] * len(bars)
+        errors = []
+        barrier = threading.Barrier(len(bars))
+
+        def worker(i):
+            try:
+                barrier.wait(timeout=60)
+                req = dataclasses.replace(NOISY_REQ, confidence=bars[i])
+                outcomes[i] = orch.validate(req, dataset, [])
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(bars))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for bar, outcome in zip(bars, outcomes):
+            if bar == 0.5:
+                assert isinstance(outcome, O.Predicted) and outcome.f1 >= 0.5
+            else:
+                assert outcome == O.NotApplicable(
+                    reason=O.REASON_BELOW_CONFIDENCE, best_f1=best_f1)
+        [entry] = registry.entries()
+        assert entry["f1"] >= 0.5
+        assert orch.stats.memo_hits == 4
