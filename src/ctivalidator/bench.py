@@ -101,18 +101,12 @@ PRESETS: dict[str, tuple[int, int, int]] = {
 }
 
 
-def preset_plan(name: str, *, n_algorithms: int | None = None,
-                n_encodings: int | None = None) -> ExperimentPlan:
+def preset_plan(name: str, *, n_algorithms: int = len(FAMILIES)) -> ExperimentPlan:
     if name not in PRESETS:
         raise ContractError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
     n_attributes, n_labels, n_requirements = PRESETS[name]
-    kwargs = {}
-    if n_algorithms is not None:
-        kwargs["n_algorithms"] = n_algorithms
-    if n_encodings is not None:
-        kwargs["n_encodings"] = n_encodings
     return ExperimentPlan(name=name, n_attributes=n_attributes, n_labels=n_labels,
-                          n_requirements=n_requirements, **kwargs)
+                          n_requirements=n_requirements, n_algorithms=n_algorithms)
 
 
 @dataclass(frozen=True)
@@ -223,10 +217,15 @@ def report_to_doc(report: BenchReport) -> dict:
     }
 
 
+def algorithm_count(tiers=None) -> int:
+    """Families a build runs under ``tiers``; every family when none are given."""
+    return len(families_for_tiers(tiers)) if tiers else len(FAMILIES)
+
+
 def default_plans(*, tiers=None) -> list[ExperimentPlan]:
     """Preset plans sized to the configured learner tiers."""
-    n_algorithms = len(families_for_tiers(tiers)) if tiers else len(FAMILIES)
-    return [preset_plan(name, n_algorithms=n_algorithms) for name in sorted(PRESETS)]
+    return [preset_plan(name, n_algorithms=algorithm_count(tiers))
+            for name in sorted(PRESETS)]
 
 
 __all__ = [
@@ -238,6 +237,7 @@ __all__ = [
     "BenchReport",
     "PlanReport",
     "aggregate_savings",
+    "algorithm_count",
     "bench_report",
     "count_experiments",
     "count_feature_combinations",

@@ -28,15 +28,7 @@ from pathlib import Path
 from . import __version__, ingest, orchestrator
 from . import bench as bench_mod
 from .errors import CtiValidatorError
-from .learners import (
-    DEFAULT_BUDGET,
-    DEFAULT_N_TRIALS,
-    DEFAULT_TIERS,
-    FAMILIES,
-    TIERS,
-    BuildBudget,
-    families_for_tiers,
-)
+from .learners import DEFAULT_BUDGET, DEFAULT_N_TRIALS, DEFAULT_TIERS, TIERS, BuildBudget
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -80,11 +72,7 @@ def _load_alerts(path: Path) -> list[dict]:
     if path.suffix.lower() == ".csv":
         with open(path, "r", encoding="utf-8", newline="") as handle:
             return [dict(row) for row in csv.DictReader(handle)]
-    text = path.read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = [json.loads(line) for line in text.splitlines() if line.strip()]
+    doc = ingest.read_json_or_lines(path.read_text(encoding="utf-8"))
     if isinstance(doc, dict):
         doc = doc.get("alerts", [doc])
     if not isinstance(doc, list):
@@ -100,13 +88,8 @@ def _write_doc(path: str | None, doc: dict) -> None:
         handle.write("\n")
 
 
-def _budget(args) -> BuildBudget:
-    return BuildBudget(
-        wall_clock_limit=(args.budget_seconds if args.budget_seconds is not None
-                          else DEFAULT_BUDGET.wall_clock_limit),
-        memory_limit=(args.budget_bytes if args.budget_bytes is not None
-                      else DEFAULT_BUDGET.memory_limit),
-    )
+def _tier_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
 
 
 def _orchestrator(args) -> orchestrator.Orchestrator:
@@ -115,8 +98,8 @@ def _orchestrator(args) -> orchestrator.Orchestrator:
     notifier = orchestrator.Notifier(root / "notifications.jsonl")
     config = orchestrator.BuildConfig(
         seed=args.seed,
-        budget=_budget(args),
-        tiers=tuple(args.tiers.split(",")) if args.tiers else DEFAULT_TIERS,
+        budget=BuildBudget(args.budget_seconds, args.budget_bytes),
+        tiers=args.tiers,
         n_trials=args.trials,
     )
     return orchestrator.Orchestrator(registry, notifier, config)
@@ -129,11 +112,13 @@ def _add_build_flags(parser) -> None:
     parser.add_argument("--confidence", type=float, default=None,
                         help="override the requirement's confidence score")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget-seconds", type=float, default=None,
+    parser.add_argument("--budget-seconds", type=float,
+                        default=DEFAULT_BUDGET.wall_clock_limit,
                         help="wall-clock budget per candidate build")
-    parser.add_argument("--budget-bytes", type=int, default=None,
+    parser.add_argument("--budget-bytes", type=int,
+                        default=DEFAULT_BUDGET.memory_limit,
                         help="memory budget per candidate build")
-    parser.add_argument("--tiers", default=None,
+    parser.add_argument("--tiers", type=_tier_list, default=DEFAULT_TIERS,
                         help=f"comma list from {', '.join(TIERS)} "
                              f"(default {','.join(DEFAULT_TIERS)})")
     parser.add_argument("--trials", type=int, default=DEFAULT_N_TRIALS,
@@ -181,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="custom plan: attribute count")
     p_bench.add_argument("--labels", type=int, default=1)
     p_bench.add_argument("--requirements", type=int, default=1)
-    p_bench.add_argument("--tiers", default=None,
+    p_bench.add_argument("--tiers", type=_tier_list, default=None,
                          help="size the algorithm count to these tiers")
     p_bench.add_argument("--sample-seconds", type=float, action="append",
                          default=None, help="measured per-build seconds (repeatable)")
@@ -305,8 +290,7 @@ def _cmd_registry_list(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    n_algorithms = (len(families_for_tiers(tuple(args.tiers.split(","))))
-                    if args.tiers else len(FAMILIES))
+    n_algorithms = bench_mod.algorithm_count(args.tiers)
     if args.attributes is not None:
         plans = [bench_mod.ExperimentPlan(
             name="custom", n_attributes=args.attributes, n_labels=args.labels,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .codec import from_fields
 from .errors import ContractError
 
 _REPORT_FORMAT_VERSION = "1"
@@ -151,24 +152,18 @@ class TimingReport:
         return self.train_time + self.predict_time
 
 
-def evaluate(model, X: np.ndarray, y, label_names=None,
-             averaging: str = MACRO, train_time: float = 0.0):
+def evaluate(model, X: np.ndarray, y, label_names, train_time: float = 0.0):
     """Run a fitted model on held-out rows and report metrics plus timing.
 
-    ``model`` needs a ``predict_codes(X)`` method and ``y`` holds the
-    actual codes; ``label_names`` (code -> display label) makes the report
-    readable when provided.
+    ``model`` needs a ``predict_codes(X)`` method, ``y`` holds the actual
+    codes and ``label_names`` maps each code to its display label.
     """
     started = time.perf_counter()
     codes = model.predict_codes(X)
     predict_time = time.perf_counter() - started
-    if label_names is not None:
-        actual = [label_names[int(c)] for c in y]
-        predicted = [label_names[int(c)] for c in codes]
-    else:
-        actual = [int(c) for c in y]
-        predicted = [int(c) for c in codes]
-    report = metrics(confusion(actual, predicted), averaging=averaging)
+    actual = [label_names[int(c)] for c in y]
+    predicted = [label_names[int(c)] for c in codes]
+    report = metrics(confusion(actual, predicted))
     return report, TimingReport(train_time=train_time, predict_time=predict_time)
 
 
@@ -184,12 +179,6 @@ def report_to_doc(report: EvalReport) -> dict:
     return doc
 
 
-def _from_fields(cls, doc: dict):
-    """``cls`` from the document's entries for its fields; lists become tuples."""
-    return cls(**{f.name: tuple(doc[f.name]) if isinstance(doc[f.name], list)
-                  else doc[f.name] for f in fields(cls)})
-
-
 def report_from_doc(doc: dict) -> EvalReport:
-    per_class = tuple(_from_fields(ClassMetrics, m) for m in doc["per_class"])
-    return _from_fields(EvalReport, dict(doc, per_class=per_class))
+    per_class = tuple(from_fields(ClassMetrics, m) for m in doc["per_class"])
+    return from_fields(EvalReport, dict(doc, per_class=per_class))

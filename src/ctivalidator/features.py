@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import schema
+from .codec import from_fields
 from .errors import ContractError, SpecMismatchError, UnknownAttributeError
 
 LABEL_TFIDF = "label-tfidf"
@@ -185,13 +186,13 @@ class CategoricalEncoder:
         for value in values:
             if value is None:
                 continue
-            seen.setdefault(_as_category(value), None)
+            seen.setdefault(str(value), None)
         return cls(tuple(seen))
 
     def transform_labels(self, values) -> np.ndarray:
         index = {c: i + 1 for i, c in enumerate(self.categories)}
         return np.array(
-            [0 if v is None else index.get(_as_category(v), UNKNOWN_CODE) for v in values],
+            [0 if v is None else index.get(str(v), UNKNOWN_CODE) for v in values],
             dtype=np.float64,
         )
 
@@ -201,24 +202,10 @@ class CategoricalEncoder:
         for row, value in enumerate(values):
             if value is None:
                 continue
-            col = index.get(_as_category(value))
+            col = index.get(str(value))
             if col is not None:
                 out[row, col] = 1.0
         return out
-
-
-def _as_category(value) -> str:
-    return str(value)
-
-
-def encode_categorical(column, mode: str) -> tuple[np.ndarray, CategoricalEncoder]:
-    """Fit-and-encode one categorical column. ``mode`` is label|onehot."""
-    encoder = CategoricalEncoder.fit(column)
-    if mode == "label":
-        return encoder.transform_labels(column).reshape(-1, 1), encoder
-    if mode == "onehot":
-        return encoder.transform_onehot(column), encoder
-    raise ContractError(f"unknown categorical mode: {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -244,12 +231,6 @@ class Standardizer:
         return (arr - self.mean) / self.stddev
 
 
-def standardize(values) -> tuple[np.ndarray, float, float]:
-    """Standardize a numeric column; returns (column, mean, stddev)."""
-    scaler = Standardizer.fit(np.asarray(values, dtype=np.float64))
-    return scaler.transform(values), scaler.mean, scaler.stddev
-
-
 # ---------------------------------------------------------------------------
 # Whole-table pipeline
 
@@ -271,14 +252,9 @@ class TextOptions:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense float64 design matrix plus per-column provenance.
-
-    ``column_provenance`` holds one (source attribute, artifact kind,
-    token-or-category) triple per matrix column.
-    """
+    """Dense, finite float64 design matrix."""
 
     values: np.ndarray
-    column_provenance: tuple[tuple[str, str, str], ...]
 
     @property
     def rows(self) -> int:
@@ -291,8 +267,6 @@ class FeatureMatrix:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ContractError("feature matrix must be 2-dimensional")
-        if len(self.column_provenance) != self.values.shape[1]:
-            raise ContractError("provenance length must match matrix width")
         if self.values.size and not np.isfinite(self.values).all():
             raise ContractError("feature matrix contains NaN or infinite entries")
 
@@ -317,13 +291,6 @@ class ColumnArtifact:
         if self.encoder_type == "onehot":
             return len(self.categories)
         return len(self.vocabulary)
-
-    def provenance(self) -> list[tuple[str, str, str]]:
-        if self.encoder_type in ("label", "standardize"):
-            return [(self.name, self.encoder_type, "")]
-        if self.encoder_type == "onehot":
-            return [(self.name, "onehot", c) for c in self.categories]
-        return [(self.name, self.encoder_type, t) for t in self.vocabulary]
 
 
 @dataclass(frozen=True)
@@ -361,15 +328,9 @@ class EncoderSpec:
             )
         return cls(
             scheme=doc["scheme"],
-            text=_from_fields(TextOptions, doc["text"]),
-            artifacts=tuple(_from_fields(ColumnArtifact, c) for c in doc["columns"]),
+            text=from_fields(TextOptions, doc["text"]),
+            artifacts=tuple(from_fields(ColumnArtifact, c) for c in doc["columns"]),
         )
-
-
-def _from_fields(cls, doc: dict):
-    """``cls`` from the document's entries for its fields; lists become tuples."""
-    return cls(**{f.name: tuple(doc[f.name]) if isinstance(doc[f.name], list)
-                  else doc[f.name] for f in fields(cls)})
 
 
 def _column_kind(name: str) -> str:
@@ -485,16 +446,13 @@ def transform(columns, spec: EncoderSpec) -> FeatureMatrix:
     n_rows = lengths.pop() if lengths else 0
 
     blocks = []
-    provenance: list[tuple[str, str, str]] = []
     for artifact in spec.artifacts:
         block = _transform_column(artifact, columns[artifact.name], spec.text)
         if block.shape[0] != n_rows:
             raise ContractError("column transform produced a row-count mismatch")
         blocks.append(block)
-        provenance.extend(artifact.provenance())
     if blocks:
         values = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
     else:
         values = np.zeros((n_rows, 0), dtype=np.float64)
-    return FeatureMatrix(values=np.ascontiguousarray(values, dtype=np.float64),
-                         column_provenance=tuple(provenance))
+    return FeatureMatrix(values=np.ascontiguousarray(values, dtype=np.float64))

@@ -247,10 +247,9 @@ def _load_events(source) -> list:
             return source["response"]
         return [source]
     text = _as_text(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = _load_json_lines(text)
+    if not text.strip():
+        raise FormatError("no JSON events found in input")
+    doc = read_json_or_lines(text)
     if isinstance(doc, dict):
         if "response" in doc and isinstance(doc["response"], list):
             return doc["response"]
@@ -260,19 +259,28 @@ def _load_events(source) -> list:
     raise FormatError("MISP input must be a JSON object or array of events")
 
 
-def _load_json_lines(text: str) -> list:
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+def read_json_or_lines(source):
+    """The JSON document in ``source``, or else the list of its JSON lines.
+
+    Blank lines are skipped, so blank text gives an empty list.  A line
+    that is not JSON raises FormatError.
+    """
+    text = _as_text(source)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
             continue
         try:
-            events.append(json.loads(line))
+            rows.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise FormatError(f"input is neither a JSON document nor JSON lines: {exc}") from exc
-    if not events:
-        raise FormatError("no JSON events found in input")
-    return events
+            raise FormatError(
+                f"input is neither a JSON document nor JSON lines (line {number}): {exc}"
+            ) from exc
+    return rows
 
 
 def _extract_tags(tags) -> tuple[str | None, str | None]:
@@ -355,7 +363,7 @@ class EnrichmentProvider(Protocol):
 class OfflineEnrichmentTable:
     """Provider backed by a CSV of (ip-or-domain, asn, owner, country) rows."""
 
-    def __init__(self, source=None, *, rows=None, resolutions=None):
+    def __init__(self, source=None, *, resolutions=None):
         self._facts: dict[str, EnrichmentResult] = {}
         self._resolutions = dict(resolutions or {})
         if source is not None:
@@ -368,8 +376,6 @@ class OfflineEnrichmentTable:
                 if not key or key.lower() in ("ip", "ip-or-domain", "query"):
                     continue
                 self._add(key, row[1], row[2], row[3])
-        for key, entry in (rows or {}).items():
-            self._add(key, *entry)
 
     def _add(self, key: str, asn, owner, country):
         try:
@@ -466,19 +472,18 @@ class Dataset:
     n_deduplicated: int = 0
 
 
-def base_word(value: str, aliases: dict[str, str] | None = None) -> str | None:
+def base_word(value: str) -> str | None:
     """Reduce a label to its lowercase base word.
 
-    "Ransom, Fake .PCN, Malspam" -> "ransom"; an alias table maps known
-    synonyms onto one spelling.  Values with no alphanumeric content
-    reduce to None.
+    "Ransom, Fake .PCN, Malspam" -> "ransom"; ``DEFAULT_LABEL_ALIASES``
+    maps known synonyms onto one spelling.  Values with no alphanumeric
+    content reduce to None.
     """
     match = re.search(r"[a-z0-9]+", str(value).lower())
     if not match:
         return None
     word = match.group(0)
-    table = DEFAULT_LABEL_ALIASES if aliases is None else aliases
-    return table.get(word, word)
+    return DEFAULT_LABEL_ALIASES.get(word, word)
 
 
 def _canonical(record: CtiRecord) -> str:
@@ -500,8 +505,7 @@ def _round_timestamp(ts: int) -> int:
     return int((ts + 1800) // 3600) * 3600
 
 
-def normalize(records, dataset_id: str,
-              label_aliases: dict[str, str] | None = None) -> Dataset:
+def normalize(records, dataset_id: str) -> Dataset:
     """Normalize records into a deduplicated, fingerprinted Dataset.
 
     Timestamps are rounded to the nearest hour.  Label-ish fields (attack,
@@ -523,7 +527,7 @@ def normalize(records, dataset_id: str,
         for field_name in LABEL_CLEAN_FIELDS:
             value = getattr(record, field_name)
             if value is not None:
-                updates[field_name] = base_word(value, label_aliases)
+                updates[field_name] = base_word(value)
         candidate = replace(record, **updates)
         if not schema.has_content(candidate):
             n_empty += 1

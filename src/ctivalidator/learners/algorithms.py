@@ -4,8 +4,8 @@ Every family is a dataclass whose fields are its hyperparameters,
 ``n_classes`` and its fitted state, and implements
 ``fit(X, y, n_classes, rng, clock)`` and ``predict_codes(X)``.  Its JSON-able
 payload is exactly those fields: the shared ``payload()`` /
-``from_payload()`` store arrays through :mod:`.codec` and trees as their
-arrays.  Labels are integer codes ``0..n_classes-1``; every predictor
+``from_payload()`` store arrays through :mod:`ctivalidator.codec` and trees
+as their arrays.  Labels are integer codes ``0..n_classes-1``; every predictor
 resolves score ties toward the lowest code so predictions are fully
 deterministic.  ``clock`` is a cooperative budget: trainers call
 ``clock.check()`` at node/tree/epoch/round boundaries and abort by
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ContractError, SpecMismatchError
 from . import _kernels
-from .codec import array_to_doc, doc_to_array
+from ..codec import array_to_doc, doc_to_array
 
 REQUIRED_TIER = "required"
 OPTIONAL_TIER = "optional"

@@ -101,10 +101,6 @@ class SplitResult:
     test_idx: np.ndarray
     stratified: bool
 
-    @property
-    def n_test(self) -> int:
-        return int(self.test_idx.shape[0])
-
 
 def make_label_map(labels) -> tuple[tuple, np.ndarray]:
     """First-appearance label catalogue and the integer code per row."""
@@ -353,7 +349,6 @@ class CandidateFailure:
 class BuildReport:
     candidates: list[TrainedModel]
     failures: list[CandidateFailure] = field(default_factory=list)
-    seed: int = 0
 
     @property
     def all_failed(self) -> bool:
@@ -415,7 +410,7 @@ def build_candidates(table, budget: BuildBudget = DEFAULT_BUDGET, seed: int = 0,
             return CandidateFailure(family, scheme, "error",
                                     time.perf_counter() - started, str(exc))
 
-    report = BuildReport(candidates=[], seed=seed)
+    report = BuildReport(candidates=[])
     for s_idx, (scheme, matrix, spec) in enumerate(prepared):
         for f_idx, family in enumerate(family_names):
             # stable per-candidate seed, independent of the other candidates

@@ -31,7 +31,7 @@ import hashlib
 import json
 import logging
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import features, ingest, schema
@@ -73,7 +73,8 @@ class Requirement:
     """What a SOC wants validated: observe these attributes, predict that one.
 
     ``confidence`` is the minimum held-out F1 the SOC will accept from an
-    automated validator.
+    automated validator.  ``dataset_id``, when set, names the only dataset
+    the requirement may be validated against.
     """
 
     observed: tuple[str, ...]
@@ -245,13 +246,7 @@ class Notifier:
             self._entries.append(entry)
             if self.path is not None:
                 with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps({
-                        "created_at": entry.created_at,
-                        "channel": entry.channel,
-                        "reason": entry.reason,
-                        "requirement_key": entry.requirement_key,
-                        "message": entry.message,
-                    }, sort_keys=True) + "\n")
+                    handle.write(json.dumps(vars(entry), sort_keys=True) + "\n")
         logger.info("notify %s: %s (%s)", channel, reason, requirement_key)
         return entry
 
@@ -293,14 +288,16 @@ class ModelRegistry:
 
     def __init__(self, root):
         self.root = Path(root)
-        # key -> model, unlocked: a lookup refilling a key from disk may
-        # replace a newer entry, which is harmless because every entry was
-        # stored for its key and every hit is checked against its bar.
-        self._cache: dict[str, TrainedModel] = {}
-        # key -> stamp of the file the cached model was read from or written
-        # to.  A stamp that lags its model only costs one more decode.
-        self._stamps: dict[str, tuple[int, int, int]] = {}
+        # key -> (model, stamp of the file it was read from or written to),
+        # unlocked: a lookup refilling a key from disk may replace a newer
+        # entry, which is harmless because every entry was stored for its
+        # key and every hit is checked against its bar.  A stamp that lags
+        # its model only costs one more decode.
+        self._cache: dict[str, tuple[TrainedModel, tuple[int, int, int] | None]] = {}
         self.root.mkdir(parents=True, exist_ok=True)
+
+    def _key_dir(self, key: str) -> Path:
+        return self.root / "models" / _key_id(key)
 
     @staticmethod
     def _stamp(path: Path) -> tuple[int, int, int] | None:
@@ -323,25 +320,24 @@ class ModelRegistry:
 
     def lookup(self, key: str, confidence: float) -> TrainedModel | None:
         """Fetch the stored model for a key if it clears the confidence bar."""
-        model = self._cache.get(key)
-        if model is not None and model.f1 >= confidence:
-            return model
-        path = self.root / "models" / _key_id(key) / "model.json"
+        cached = self._cache.get(key)
+        if cached is not None and cached[0].f1 >= confidence:
+            return cached[0]
+        path = self._key_dir(key) / "model.json"
         stamp = self._stamp(path)  # taken before the read, so never newer
         if stamp is None:
             return None
-        if model is None or self._stamps.get(key) != stamp:
+        if cached is None or cached[1] != stamp:
             model = self._read(path)
             if model is None or model.requirement_key != key:
                 return None
-            self._cache[key] = model
-            self._stamps[key] = stamp
-        return model if model.f1 >= confidence else None
+            cached = self._cache[key] = (model, stamp)
+        return cached[0] if cached[0].f1 >= confidence else None
 
     @contextlib.contextmanager
     def _locked(self, key: str):
         """Hold the key's exclusive ``flock``; yields the key's directory."""
-        key_dir = self.root / "models" / _key_id(key)
+        key_dir = self._key_dir(key)
         key_dir.mkdir(parents=True, exist_ok=True)
         with open(key_dir / "lock", "ab") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)  # released when closed
@@ -361,15 +357,14 @@ class ModelRegistry:
                 tmp = model_dir / "model.json.tmp"
                 model.save(tmp)
                 tmp.replace(model_path)
-                self._cache[key] = model
-                self._stamps[key] = self._stamp(model_path)
+                self._cache[key] = (model, self._stamp(model_path))
         except OSError as exc:
             raise StorageError(f"cannot write model for {key}: {exc}") from exc
         return True
 
     def withheld_f1(self, key: str, build: dict) -> float | None:
         """The memo's best F1 for a key, if it was reached under ``build``."""
-        path = self.root / "models" / _key_id(key) / "withheld.json"
+        path = self._key_dir(key) / "withheld.json"
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 memo = json.load(handle)
@@ -456,6 +451,7 @@ class _BuildResult:
     best: TrainedModel | None = None
     report: BuildReport | None = None
     missing: tuple[str, ...] = ()
+    stored: bool = False  # ``best`` went to the registry inside the flight
 
 
 class _Flight:
@@ -489,6 +485,10 @@ class Orchestrator:
         carries a DataRequested alongside the notification trail).
         """
         requirement = interpret(requirement)
+        if requirement.dataset_id not in (None, dataset.dataset_id):
+            raise ContractError(
+                f"requirement is for dataset {requirement.dataset_id!r}, "
+                f"not {dataset.dataset_id!r}")
         key = requirement_key(requirement, dataset.fingerprint)
 
         model = self.registry.lookup(key, requirement.confidence)
@@ -527,7 +527,8 @@ class Orchestrator:
                 self.registry.remember_withheld(key, best.f1, build)
             return self._withhold(key, requirement, best.f1)
 
-        self.registry.register(key, best)
+        if not result.stored:
+            self.registry.register(key, best)
         return self._predict(requirement, key, best, alert_rows, from_cache=False)
 
     def build(self, requirement: Requirement, dataset: Dataset):
@@ -594,7 +595,7 @@ class Orchestrator:
         # double-check: another flight may have registered while we queued
         cached = self.registry.lookup(key, requirement.confidence)
         if cached is not None:
-            return _BuildResult(best=cached)
+            return _BuildResult(best=cached, stored=True)
         try:
             table = ingest.select_columns(dataset, requirement)
         except DataUnavailableError as exc:
@@ -608,21 +609,29 @@ class Orchestrator:
             requirement_key=key)
         if report.all_failed:
             return _BuildResult(best=None, report=report)
-        return _BuildResult(best=select_optimal(report.candidates), report=report)
+        best = select_optimal(report.candidates)
+        # Registered before the flight ends, so an identical request that
+        # arrives next finds the model instead of building it again.  The
+        # owner's bar decides here; each joiner's bar is checked in validate.
+        stored = best.f1 >= requirement.confidence
+        if stored:
+            self.registry.register(key, best)
+        return _BuildResult(best=best, report=report, stored=stored)
 
 
 def _alert_columns(rows, observed) -> dict[str, list]:
     """Turn alert rows (mappings or CtiRecords) into observed columns."""
     names = sorted(observed)
     columns: dict[str, list] = {n: [] for n in names}
-    for row in rows:
+    for index, row in enumerate(rows):
         for name in names:
             if isinstance(row, schema.CtiRecord):
                 value = getattr(row, name)
             elif isinstance(row, dict):
                 value = schema.coerce_field(name, row.get(name))
             else:
-                value = getattr(row, name, None)
+                raise ContractError(f"alert row {index} is neither a mapping "
+                                    f"nor a CtiRecord: {row!r}")
             columns[name].append(value)
     return columns
 

@@ -234,6 +234,66 @@ class TestBuildAndValidate:
         assert len(entries) == 1
 
 
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A dataset file, its requirement file and a registry holding the model."""
+    root = tmp_path_factory.mktemp("built")
+    dataset = ingest_dataset(root)
+    requirement = write_requirement(root)
+    registry = root / "registry"
+    assert cli.main(["build", "--dataset", str(dataset), "--requirement",
+                     str(requirement), "--registry", str(registry),
+                     "--seed", "7"]) == cli.EXIT_OK
+    return dataset, requirement, registry
+
+
+class TestAlertFiles:
+    def validate(self, built, tmp_path, text):
+        dataset, requirement, registry = built
+        alerts = tmp_path / "alerts.json"
+        alerts.write_text(text)
+        return cli.main(["validate", "--dataset", str(dataset), "--requirement",
+                         str(requirement), "--registry", str(registry),
+                         "--seed", "7", "--alerts", str(alerts)])
+
+    def test_json_lines(self, built, tmp_path, capsys):
+        capsys.readouterr()
+        text = ('{"domain": "x.credful.example.com", "port": 80}\n\n'
+                '{"domain": "y.floodway.example.com", "port": 443}\n')
+        assert self.validate(built, tmp_path, text) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:] == ["phishing", "ddos"]
+
+    def test_malformed_json_is_a_format_error(self, built, tmp_path, capsys):
+        text = '{"domain": "a.b"\n'
+        assert self.validate(built, tmp_path, text) == cli.EXIT_ERROR
+        assert "line 1" in capsys.readouterr().err
+
+    def test_rows_that_are_not_mappings_are_rejected(self, built, tmp_path,
+                                                     capsys):
+        capsys.readouterr()
+        assert self.validate(built, tmp_path, "[1, 2]") == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "neither a mapping nor a CtiRecord" in captured.err
+        assert captured.out == ""
+
+    def test_empty_file_is_an_empty_batch(self, built, tmp_path, capsys):
+        capsys.readouterr()
+        assert self.validate(built, tmp_path, "") == cli.EXIT_OK
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("predicted:")
+
+    def test_requirement_for_another_dataset_is_an_error(self, built, tmp_path,
+                                                         capsys):
+        dataset, _, registry = built
+        requirement = tmp_path / "req.json"
+        requirement.write_text(json.dumps({"ob": "domain,port", "un": "attack",
+                                           "confidence": 0.5, "dataset": "ds9"}))
+        code = cli.main(["build", "--dataset", str(dataset), "--requirement",
+                         str(requirement), "--registry", str(registry)])
+        assert code == cli.EXIT_ERROR
+        assert "ds9" in capsys.readouterr().err
+
+
 class TestRegistryList:
     def test_empty_registry(self, tmp_path, capsys):
         code = cli.main(["registry-list", "--registry", str(tmp_path / "r")])

@@ -4,6 +4,7 @@ import multiprocessing
 import shutil
 import sys
 import threading
+import time
 
 import pytest
 
@@ -479,6 +480,17 @@ class TestValidatePaths:
         outcome = orch.validate(req, dataset, rows)
         assert tuple(outcome.labels) == ("phishing", "ddos")
 
+    def test_requirement_for_another_dataset_rejected(self, tmp_path):
+        orch, registry, notifier = make_orchestrator(tmp_path, seed=7)
+        dataset = banded_dataset()
+        other = dataclasses.replace(BANDED_REQ, dataset_id="ds9")
+        with pytest.raises(ContractError, match="ds9"):
+            orch.validate(other, dataset, [])
+        assert orch.stats.builds == 0 and len(registry) == 0
+        assert notifier.entries() == []
+        same = dataclasses.replace(BANDED_REQ, dataset_id=dataset.dataset_id)
+        assert isinstance(orch.validate(same, dataset, []), O.Predicted)
+
 
 class TestSingleFlight:
     def test_concurrent_identical_requests_build_once(self, tmp_path):
@@ -504,6 +516,40 @@ class TestSingleFlight:
         keys = {o.model_key for o in outcomes}
         assert len(keys) == 1
         assert all(isinstance(o, O.Predicted) for o in outcomes)
+
+    def test_request_arriving_during_register_joins_the_flight(
+            self, tmp_path, monkeypatch):
+        orch, _, _ = make_orchestrator(tmp_path, seed=7)
+        dataset = planted_dataset(n=120)
+        req = O.Requirement(observed=("domain", "port"), label="attack",
+                            confidence=0.5)
+        register = O.ModelRegistry.register
+        threads, outcomes = [], []
+
+        def register_after_a_second_request(registry, key, model):
+            if not threads:
+                thread = threading.Thread(
+                    target=lambda: outcomes.append(orch.validate(req, dataset, [])))
+                threads.append(thread)
+                thread.start()
+                # The owner still holds the flight, so the second request
+                # must join it rather than build.
+                deadline = time.monotonic() + 60
+                while (thread.is_alive() and orch.stats.flight_joins == 0
+                       and time.monotonic() < deadline):
+                    thread.join(timeout=0.01)
+            return register(registry, key, model)
+
+        monkeypatch.setattr(O.ModelRegistry, "register",
+                            register_after_a_second_request)
+        first = orch.validate(req, dataset, [])
+        [thread] = threads
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        [second] = outcomes
+        assert isinstance(first, O.Predicted) and isinstance(second, O.Predicted)
+        assert second.model_key == first.model_key
+        assert (orch.stats.builds, orch.stats.flight_joins) == (1, 1)
 
 
 NOISY_REQ = O.Requirement(observed=("domain",), label="attack", confidence=0.9)
