@@ -43,12 +43,11 @@ class ExperimentPlan:
     n_labels: int
     n_requirements: int
     n_algorithms: int = len(FAMILIES)
-    n_encodings: int = len(SCHEMES)
 
     def __post_init__(self):
         if self.n_attributes < 2:
             raise ContractError("plans need at least 2 attributes")
-        for fld in ("n_labels", "n_requirements", "n_algorithms", "n_encodings"):
+        for fld in ("n_labels", "n_requirements", "n_algorithms"):
             if getattr(self, fld) < 1:
                 raise ContractError(f"{fld} must be positive")
 
@@ -69,7 +68,7 @@ def count_experiments(plan: ExperimentPlan, mode: str) -> int:
         base = plan.n_requirements
     else:
         raise ContractError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return base * plan.n_algorithms * plan.n_encodings * plan.n_labels
+    return base * plan.n_algorithms * len(SCHEMES) * plan.n_labels
 
 
 def savings_ratio(plan: ExperimentPlan) -> float:

@@ -1,17 +1,24 @@
 """Bit-exact JSON encoding shared by the stored documents.
 
-numpy arrays in model payloads become dtype + shape + base64 data, and a
-dataclass is read back from the document's entries for its fields.
+Every stored document is written in one canonical JSON form, numpy arrays
+in model payloads become dtype + shape + base64 data, and a dataclass is
+read back from the document's entries for its fields.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 from dataclasses import fields
 
 import numpy as np
 
 from .errors import SpecMismatchError
+
+
+def canonical_json(doc) -> str:
+    """Sorted keys, no whitespace: the same document always gives the same text."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def array_to_doc(arr: np.ndarray) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import schema
-from .codec import from_fields
+from .codec import canonical_json, from_fields
 from .errors import ContractError, SpecMismatchError, UnknownAttributeError
 
 LABEL_TFIDF = "label-tfidf"
@@ -38,11 +38,14 @@ _SPEC_FORMAT_VERSION = "1"
 _EPOCH = _dt.date(1970, 1, 1)
 
 # Compact English stop-word list for free-text cleaning.
-DEFAULT_STOP_WORDS: tuple[str, ...] = (
+STOP_WORDS: frozenset[str] = frozenset((
     "a", "an", "and", "any", "are", "as", "at", "be", "been", "but", "by",
     "for", "from", "has", "have", "in", "is", "it", "its", "of", "on", "or",
     "that", "the", "these", "this", "those", "to", "was", "were", "with",
-)
+))
+# The cleaning rules as every encoder spec records them; a spec fitted under
+# any other rules cannot be replayed.
+_TEXT_RULES = {"stem": True, "stop_words": sorted(STOP_WORDS)}
 
 
 def light_stem(token: str) -> str:
@@ -56,33 +59,21 @@ def light_stem(token: str) -> str:
     return token
 
 
-def clean_text(
-    text: str,
-    *,
-    stop_words=DEFAULT_STOP_WORDS,
-    token_filter=light_stem,
-) -> list[str]:
+def clean_text(text: str) -> list[str]:
     """Clean a free-text value into an ordered token list.
 
     Non-alphabetic characters are stripped (inside words too, so
     "C2-server" collapses to "cserver"), the result is lowercased and split
-    on whitespace, stop words are dropped, and ``token_filter`` is applied
-    to each surviving token.  The filter may rewrite a token or return
-    None/"" to drop it.
+    on whitespace, words in :data:`STOP_WORDS` are dropped, and
+    :func:`light_stem` is applied to each surviving word.
     """
     if text is None:
         return []
     kept = []
-    stop = frozenset(stop_words)
     for chunk in str(text).split():
         word = "".join(ch for ch in chunk if ch.isalpha()).lower()
-        if not word or word in stop:
-            continue
-        if token_filter is not None:
-            word = token_filter(word)
-            if not word:
-                continue
-        kept.append(word)
+        if word and word not in STOP_WORDS:
+            kept.append(light_stem(word))
     return kept
 
 
@@ -236,21 +227,6 @@ class Standardizer:
 
 
 @dataclass(frozen=True)
-class TextOptions:
-    """Named (serializable) free-text cleaning configuration."""
-
-    stop_words: tuple[str, ...] = DEFAULT_STOP_WORDS
-    stem: bool = True
-
-    def tokens(self, text: str) -> list[str]:
-        return clean_text(
-            text,
-            stop_words=self.stop_words,
-            token_filter=light_stem if self.stem else None,
-        )
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Dense, finite float64 design matrix."""
 
@@ -298,7 +274,6 @@ class EncoderSpec:
     """Everything needed to replay a fitted feature transform bit-exactly."""
 
     scheme: str
-    text: TextOptions
     artifacts: tuple[ColumnArtifact, ...] = field(default_factory=tuple)
 
     @property
@@ -313,11 +288,11 @@ class EncoderSpec:
         doc = {
             "format_version": _SPEC_FORMAT_VERSION,
             "scheme": self.scheme,
-            "text": {f.name: getattr(self.text, f.name) for f in fields(self.text)},
+            "text": _TEXT_RULES,
             "columns": [{f.name: getattr(a, f.name) for f in fields(a)}
                         for a in self.artifacts],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return canonical_json(doc).encode("utf-8")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EncoderSpec":
@@ -326,9 +301,10 @@ class EncoderSpec:
             raise SpecMismatchError(
                 f"unsupported encoder format version: {doc.get('format_version')!r}"
             )
+        if doc.get("text") != _TEXT_RULES:
+            raise SpecMismatchError("encoder was fitted under other text-cleaning rules")
         return cls(
             scheme=doc["scheme"],
-            text=from_fields(TextOptions, doc["text"]),
             artifacts=tuple(from_fields(ColumnArtifact, c) for c in doc["columns"]),
         )
 
@@ -358,20 +334,20 @@ def _numeric_view(name: str, kind: str, values) -> np.ndarray:
     return out
 
 
-def _text_docs(name: str, kind: str, values, text: TextOptions) -> list[list[str]]:
+def _text_docs(name: str, kind: str, values) -> list[list[str]]:
     if kind == schema.KIND_FREE_TEXT:
-        return [text.tokens(v) if v is not None else [] for v in values]
+        return [clean_text(v) for v in values]
     delims = schema.STRUCTURED_DELIMITERS.get(name, ())
     return [tokenize_structured(v, delims) if v is not None else [] for v in values]
 
 
-def _fit_column(name, kind, values, scheme, text) -> ColumnArtifact:
+def _fit_column(name, kind, values, scheme) -> ColumnArtifact:
     if kind in (schema.KIND_CATEGORICAL, schema.KIND_IP):
         encoder = CategoricalEncoder.fit(values)
         mode = "label" if scheme == LABEL_TFIDF else "onehot"
         return ColumnArtifact(name, kind, mode, categories=encoder.categories)
     if kind in (schema.KIND_FREE_TEXT, schema.KIND_STRUCTURED):
-        docs = _text_docs(name, kind, values, text)
+        docs = _text_docs(name, kind, values)
         if scheme == LABEL_TFIDF:
             vocab = fit_tfidf(docs)
             return ColumnArtifact(name, kind, "tfidf", vocabulary=vocab.vocabulary,
@@ -387,7 +363,7 @@ def _fit_column(name, kind, values, scheme, text) -> ColumnArtifact:
     raise ContractError(f"column {name!r} has unsupported kind {kind!r}")
 
 
-def _transform_column(artifact: ColumnArtifact, values, text: TextOptions) -> np.ndarray:
+def _transform_column(artifact: ColumnArtifact, values) -> np.ndarray:
     if artifact.encoder_type == "label":
         enc = CategoricalEncoder(artifact.categories)
         return enc.transform_labels(values).reshape(-1, 1)
@@ -395,10 +371,10 @@ def _transform_column(artifact: ColumnArtifact, values, text: TextOptions) -> np
         enc = CategoricalEncoder(artifact.categories)
         return enc.transform_onehot(values)
     if artifact.encoder_type == "tfidf":
-        docs = _text_docs(artifact.name, artifact.kind, values, text)
+        docs = _text_docs(artifact.name, artifact.kind, values)
         return TfidfVocab(artifact.vocabulary, artifact.idf).transform(docs)
     if artifact.encoder_type == "count":
-        docs = _text_docs(artifact.name, artifact.kind, values, text)
+        docs = _text_docs(artifact.name, artifact.kind, values)
         return CountVocab(artifact.vocabulary).transform(docs)
     numeric = _numeric_view(artifact.name, artifact.kind, values)
     numeric = np.where(np.isnan(numeric), artifact.mean, numeric)
@@ -406,12 +382,7 @@ def _transform_column(artifact: ColumnArtifact, values, text: TextOptions) -> np
     return scaler.transform(numeric).reshape(-1, 1)
 
 
-def fit_transform(
-    columns,
-    *,
-    scheme: str,
-    text: TextOptions = TextOptions(),
-) -> tuple[FeatureMatrix, EncoderSpec]:
+def fit_transform(columns, *, scheme: str) -> tuple[FeatureMatrix, EncoderSpec]:
     """Fit encoders on the given columns and produce the design matrix.
 
     ``columns`` maps attribute name -> sequence of values; all sequences
@@ -427,9 +398,9 @@ def fit_transform(
     if len(lengths) != 1:
         raise ContractError("all columns must have the same number of rows")
     artifacts = tuple(
-        _fit_column(n, _column_kind(n), columns[n], scheme, text) for n in names
+        _fit_column(n, _column_kind(n), columns[n], scheme) for n in names
     )
-    spec = EncoderSpec(scheme=scheme, text=text, artifacts=artifacts)
+    spec = EncoderSpec(scheme=scheme, artifacts=artifacts)
     return transform(columns, spec), spec
 
 
@@ -447,7 +418,7 @@ def transform(columns, spec: EncoderSpec) -> FeatureMatrix:
 
     blocks = []
     for artifact in spec.artifacts:
-        block = _transform_column(artifact, columns[artifact.name], spec.text)
+        block = _transform_column(artifact, columns[artifact.name])
         if block.shape[0] != n_rows:
             raise ContractError("column transform produced a row-count mismatch")
         blocks.append(block)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from . import schema
+from .codec import canonical_json
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -243,17 +244,15 @@ def _load_events(source) -> list:
     if isinstance(source, (list, tuple)):
         return list(source)
     if isinstance(source, dict):
-        if isinstance(source.get("response"), list):
-            return source["response"]
-        return [source]
-    text = _as_text(source)
-    if not text.strip():
-        raise FormatError("no JSON events found in input")
-    doc = read_json_or_lines(text)
+        doc = source
+    else:
+        text = _as_text(source)
+        if not text.strip():
+            raise FormatError("no JSON events found in input")
+        doc = read_json_or_lines(text)
     if isinstance(doc, dict):
-        if "response" in doc and isinstance(doc["response"], list):
-            return doc["response"]
-        return [doc]
+        response = doc.get("response")
+        return response if isinstance(response, list) else [doc]
     if isinstance(doc, list):
         return doc
     raise FormatError("MISP input must be a JSON object or array of events")
@@ -487,8 +486,7 @@ def base_word(value: str) -> str | None:
 
 
 def _canonical(record: CtiRecord) -> str:
-    return json.dumps(schema.record_to_plain(record), sort_keys=True,
-                      separators=(",", ":"))
+    return canonical_json(schema.record_to_plain(record))
 
 
 def fingerprint_records(records) -> str:

@@ -13,8 +13,8 @@ from .algorithms import (
 from .training import (
     DEFAULT_BUDGET,
     DEFAULT_N_TRIALS,
-    DEFAULT_TEST_FRACTION,
     DEFAULT_TIERS,
+    TEST_FRACTION,
     BudgetClock,
     BuildBudget,
     BuildReport,
@@ -43,7 +43,6 @@ __all__ = [
     "CandidateFailure",
     "DEFAULT_BUDGET",
     "DEFAULT_N_TRIALS",
-    "DEFAULT_TEST_FRACTION",
     "DEFAULT_TIERS",
     "FAMILIES",
     "HAS_NUMBA",
@@ -51,6 +50,7 @@ __all__ = [
     "OPTIONAL_TIER",
     "REQUIRED_TIER",
     "SplitResult",
+    "TEST_FRACTION",
     "TIERS",
     "TrainedModel",
     "TuneResult",

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import evaluation, features
+from ..codec import canonical_json
 from ..errors import (
     BudgetExceededError,
     ContractError,
@@ -40,7 +41,7 @@ _MODEL_FORMAT_VERSION = "2"
 # "1" also carried timing and dataset_fingerprint; reading ignores both.
 _READABLE_FORMAT_VERSIONS = ("1", _MODEL_FORMAT_VERSION)
 
-DEFAULT_TEST_FRACTION = 0.3
+TEST_FRACTION = 0.3
 DEFAULT_TIERS = (algorithms.REQUIRED_TIER,)
 DEFAULT_N_TRIALS = 6
 
@@ -111,52 +112,34 @@ def make_label_map(labels) -> tuple[tuple, np.ndarray]:
     return tuple(catalogue), codes
 
 
-def split(y_codes: np.ndarray, test_fraction: float, seed: int) -> SplitResult:
-    """Seeded train/test row split; |test| = round(fraction * N).
+def split(y_codes: np.ndarray, seed: int) -> SplitResult:
+    """Seeded 70/30 train/test row split; |test| = round(0.3 * N), at least 1.
 
     The split is stratified per class whenever every class has at least two
     members; otherwise it falls back to a plain shuffle and says so in the
-    result.  Per-class test quotas are largest-remainder rounded so the
-    total always matches.
+    result.  A stratified split gives each class floor(0.3 * n_c) test rows
+    and hands the leftover rows out one per class, largest fractional part
+    first, so the total always matches.  Every class keeps at least one
+    training row: floor(0.3 * n_c) + 1 <= n_c - 1 whenever n_c >= 2.
     """
     n = int(y_codes.shape[0])
-    if not 0.0 < test_fraction < 1.0:
-        raise ContractError("test_fraction must be in (0, 1)")
     if n < 2:
         raise ContractError("need at least two rows to split")
-    n_test = int(round(test_fraction * n))
-    n_test = min(max(n_test, 1), n - 1)
+    n_test = min(max(int(round(TEST_FRACTION * n)), 1), n - 1)
     rng = np.random.default_rng(seed)
 
     counts = np.bincount(y_codes)
     present = np.flatnonzero(counts)
-    stratified = bool((counts[present] >= 2).all())
-    if not stratified:
+    if not (counts[present] >= 2).all():
         perm = rng.permutation(n)
         return SplitResult(train_idx=np.sort(perm[n_test:]),
                            test_idx=np.sort(perm[:n_test]), stratified=False)
 
-    # Largest-remainder allocation: per-class quotas floor(fraction * n_c),
-    # leftovers handed out by fractional part so the total is exactly n_test.
-    # Quotas are capped at n_c - 1 to keep every class represented in train.
-    exact = counts[present] * test_fraction
+    # The leftover n_test - sum(quota) lies in [0, number of classes].
+    exact = counts[present] * TEST_FRACTION
     quota = np.floor(exact).astype(np.int64)
-    cap = counts[present].astype(np.int64) - 1
-    quota = np.minimum(quota, cap)
-    deficit = n_test - int(quota.sum())
     order = np.argsort(-(exact - quota), kind="stable")
-    step = 0
-    while deficit > 0 and step < 2 * len(order) * (1 + n_test):
-        pos = order[step % len(order)]
-        if quota[pos] < cap[pos]:
-            quota[pos] += 1
-            deficit -= 1
-        step += 1
-    if int(quota.sum()) != n_test:
-        # capacity exhausted (huge fraction, many tiny classes): plain split
-        perm = rng.permutation(n)
-        return SplitResult(train_idx=np.sort(perm[n_test:]),
-                           test_idx=np.sort(perm[:n_test]), stratified=False)
+    quota[order[:n_test - int(quota.sum())]] += 1
     test_parts = []
     for cls, q in zip(present, quota):
         rows = np.flatnonzero(y_codes == cls)
@@ -174,19 +157,18 @@ def split(y_codes: np.ndarray, test_fraction: float, seed: int) -> SplitResult:
 
 
 def train(family: str, params: dict, X: np.ndarray, y_codes: np.ndarray,
-          n_classes: int, budget: BuildBudget, seed: int,
-          clock: BudgetClock | None = None):
+          n_classes: int, clock: BudgetClock, seed: int):
     """Fit one model and return it.
 
-    Raises BudgetExceededError when the cooperative budget trips; the
-    exception carries the elapsed time so the caller can report a
-    timed-out candidate.
+    ``clock`` is the candidate's budget clock, shared with its tuning so one
+    budget spans the whole candidate.  Raises BudgetExceededError when it
+    trips; the exception carries the elapsed time so the caller can report
+    a timed-out candidate.
     """
     if X.shape[0] != y_codes.shape[0]:
         raise ContractError("matrix and labels disagree on row count")
     if X.shape[0] == 0:
         raise ContractError("cannot train on an empty matrix")
-    clock = clock or BudgetClock(budget)
     clock.ensure_memory(X.shape[0], X.shape[1], FAMILIES[family].memory_factor)
     model = make_model(family, params)
     model.fit(X, y_codes, n_classes, np.random.default_rng(seed), clock)
@@ -220,16 +202,16 @@ class TuneResult:
 
 
 def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
-         budget: BuildBudget, seed: int, n_trials: int = DEFAULT_N_TRIALS,
-         clock: BudgetClock | None = None) -> TuneResult:
-    """Seeded random search over the family grid with an internal split.
+         clock: BudgetClock, seed: int,
+         n_trials: int = DEFAULT_N_TRIALS) -> TuneResult:
+    """Seeded random search over the family grid with an internal 70/30 cut.
 
-    Trials are scored by macro F1 on the internal validation cut; ties go
-    to the point listed first in ``grid_points(family)``, and the grids list
-    their cheaper values first.  A single-point grid returns that point
-    after one trial.
+    Every trial runs on ``clock``, the candidate's budget clock.  Trials are
+    scored by macro F1 on the internal validation cut; ties go to the point
+    listed first in ``grid_points(family)``, and the grids list their
+    cheaper values first.  A single-point grid returns that point after one
+    trial.
     """
-    clock = clock or BudgetClock(budget)
     rng = np.random.default_rng(seed)
     points = grid_points(family)
     proposals = rng.permutation(len(points))[:max(1, n_trials)].tolist()
@@ -237,7 +219,7 @@ def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
         # too small for an inner cut; take the first seeded proposal
         return TuneResult(best_params=points[proposals[0]], trials=[])
 
-    inner = split(y_codes, DEFAULT_TEST_FRACTION, seed=seed + 1)
+    inner = split(y_codes, seed=seed + 1)
     X_fit, y_fit = X[inner.train_idx], y_codes[inner.train_idx]
     X_val, y_val = X[inner.test_idx], y_codes[inner.test_idx]
 
@@ -246,7 +228,7 @@ def tune(family: str, X: np.ndarray, y_codes: np.ndarray, n_classes: int,
     for trial_no, index in enumerate(proposals):
         clock.check()
         model = train(family, points[index], X_fit, y_fit, n_classes,
-                      budget, seed=seed + 100 + trial_no, clock=clock)
+                      clock, seed=seed + 100 + trial_no)
         codes = predict(model, X_val)
         f1 = evaluation.metrics(evaluation.confusion(list(y_val), list(codes))).f1
         trials.append((points[index], f1))
@@ -305,8 +287,7 @@ class TrainedModel:
         }
 
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_document(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        return canonical_json(self.to_document()).encode("utf-8")
 
     def save(self, path) -> None:
         with open(path, "wb") as handle:
@@ -376,7 +357,7 @@ def build_candidates(table, budget: BuildBudget = DEFAULT_BUDGET, seed: int = 0,
     if n_classes < 1:
         raise ContractError("no labels to learn from")
 
-    cut = split(codes, DEFAULT_TEST_FRACTION, seed=seed)
+    cut = split(codes, seed=seed)
     prepared: list[tuple[str, features.FeatureMatrix, features.EncoderSpec]] = []
     for scheme in features.SCHEMES:
         matrix, spec = features.fit_transform(table.observed, scheme=scheme)
@@ -390,10 +371,10 @@ def build_candidates(table, budget: BuildBudget = DEFAULT_BUDGET, seed: int = 0,
                                 FAMILIES[family].memory_factor)
             X_train, y_train = matrix.values[cut.train_idx], codes[cut.train_idx]
             X_test, y_test = matrix.values[cut.test_idx], codes[cut.test_idx]
-            tuned = tune(family, X_train, y_train, n_classes, budget,
-                         seed=cand_seed, n_trials=n_trials, clock=clock)
+            tuned = tune(family, X_train, y_train, n_classes, clock,
+                         seed=cand_seed, n_trials=n_trials)
             model = train(family, tuned.best_params, X_train, y_train,
-                          n_classes, budget, seed=cand_seed, clock=clock)
+                          n_classes, clock, seed=cand_seed)
             train_time = time.perf_counter() - started  # tuning included
             report, timing = evaluation.evaluate(
                 model, X_test, y_test, label_names=label_map, train_time=train_time)

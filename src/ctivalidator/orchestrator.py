@@ -35,9 +35,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import features, ingest, schema
+from .codec import canonical_json
 from .errors import (
     ContractError,
     DataUnavailableError,
+    SpecMismatchError,
     StorageError,
     UnknownAttributeError,
 )
@@ -66,6 +68,9 @@ REASON_BELOW_CONFIDENCE = "below-confidence"
 REASON_ALL_TIMED_OUT = "all-timed-out"
 
 _WITHHELD_FORMAT_VERSION = "1"
+# What reading a model file raises when its JSON does not decode or its
+# fields are missing or of the wrong type.
+_CORRUPT = (ValueError, KeyError, TypeError, AttributeError)
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,8 @@ class ModelRegistry:
     build reached when it was refused at its bar, with the key and the
     build config it came from.  It is a cache, never a model: it is written
     under the same lock, never listed or served, and deleting it only costs
-    one rebuild.
+    one rebuild.  A memo that does not decode counts as absent, while a
+    model file that does not decode, or lacks fields, raises StorageError.
 
     Lookups are served from an in-process cache while the cached model
     clears the asked bar.  Otherwise the file is checked again, because
@@ -317,6 +323,10 @@ class ModelRegistry:
             return None
         except OSError as exc:
             raise StorageError(f"cannot read model {path}: {exc}") from exc
+        except SpecMismatchError:
+            raise
+        except _CORRUPT as exc:
+            raise StorageError(f"corrupt model file {path}: {exc!r}") from exc
 
     def lookup(self, key: str, confidence: float) -> TrainedModel | None:
         """Fetch the stored model for a key if it clears the confidence bar."""
@@ -372,7 +382,10 @@ class ModelRegistry:
             return None
         except OSError as exc:
             raise StorageError(f"cannot read withheld memo {path}: {exc}") from exc
-        if (memo.get("format_version") != _WITHHELD_FORMAT_VERSION
+        except ValueError:
+            return None  # a cache: an unreadable memo costs one rebuild
+        if (not isinstance(memo, dict)
+                or memo.get("format_version") != _WITHHELD_FORMAT_VERSION
                 or memo.get("requirement_key") != key or memo.get("build") != build):
             return None
         return memo["best_f1"]
@@ -384,8 +397,7 @@ class ModelRegistry:
         try:
             with self._locked(key) as key_dir:
                 tmp = key_dir / "withheld.json.tmp"
-                tmp.write_text(json.dumps(memo, sort_keys=True, separators=(",", ":")),
-                               encoding="utf-8")
+                tmp.write_text(canonical_json(memo), encoding="utf-8")
                 tmp.replace(key_dir / "withheld.json")
         except OSError as exc:
             raise StorageError(f"cannot write withheld memo for {key}: {exc}") from exc
@@ -400,14 +412,16 @@ class ModelRegistry:
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     doc = json.load(handle)
+                entries.append({
+                    "key_id": path.parent.name, "key": doc.get("requirement_key", ""),
+                    "f1": doc["eval"]["f1"], "family": doc["family"],
+                    "scheme": doc["scheme"], "path": str(path.relative_to(self.root))})
             except FileNotFoundError:
                 continue  # removed since the scan
             except OSError as exc:
                 raise StorageError(f"cannot read model {path}: {exc}") from exc
-            entries.append({
-                "key_id": path.parent.name, "key": doc.get("requirement_key", ""),
-                "f1": doc["eval"]["f1"], "family": doc["family"],
-                "scheme": doc["scheme"], "path": str(path.relative_to(self.root))})
+            except _CORRUPT as exc:
+                raise StorageError(f"corrupt model file {path}: {exc!r}") from exc
         return entries
 
     def __len__(self) -> int:

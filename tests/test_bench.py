@@ -140,10 +140,9 @@ class TestReport:
 class TestCustomDimensions:
     def test_algorithm_and_encoding_dimensions(self):
         plan = bench.ExperimentPlan(name="small", n_attributes=4, n_labels=2,
-                                    n_requirements=3, n_algorithms=2,
-                                    n_encodings=1)
-        assert bench.count_experiments(plan, bench.MODE_ON_DEMAND) == 3 * 2 * 1 * 2
-        assert bench.count_experiments(plan, bench.MODE_PREBUILD) == 14 * 2 * 1 * 2
+                                    n_requirements=3, n_algorithms=2)
+        assert bench.count_experiments(plan, bench.MODE_ON_DEMAND) == 3 * 2 * 2 * 2
+        assert bench.count_experiments(plan, bench.MODE_PREBUILD) == 14 * 2 * 2 * 2
 
     def test_preset_with_restricted_tiers(self):
         plan = bench.preset_plan("ds1", n_algorithms=5)

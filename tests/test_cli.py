@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -292,6 +293,25 @@ class TestAlertFiles:
                          str(requirement), "--registry", str(registry)])
         assert code == cli.EXIT_ERROR
         assert "ds9" in capsys.readouterr().err
+
+
+class TestCorruptRegistry:
+    def test_corrupt_model_file_is_an_error_exit(self, built, tmp_path, capsys):
+        dataset, requirement, registry = built
+        copy = tmp_path / "registry"
+        shutil.copytree(registry, copy)
+        [path] = copy.glob("models/*/model.json")
+        path.write_bytes(path.read_bytes()[:100])
+        capsys.readouterr()
+        assert cli.main(["registry-list", "--registry", str(copy)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: corrupt model file {path}")
+        alerts = tmp_path / "alerts.json"
+        alerts.write_text('[{"domain": "x.credful.example.com", "port": 80}]')
+        code = cli.main(["validate", "--dataset", str(dataset), "--requirement",
+                         str(requirement), "--registry", str(copy), "--seed", "7",
+                         "--alerts", str(alerts)])
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: corrupt model file {path}")
 
 
 class TestRegistryList:

@@ -15,19 +15,16 @@ S2 = ["malware", "is", "any", "program", "that", "is", "harmful"]
 
 class TestTextCleaning:
     def test_strips_non_alpha_and_lowercases(self):
-        assert F.clean_text("C2-server 443!!", stop_words=()) == ["cserver"]
+        assert F.clean_text("C2-server 443!!") == ["cserver"]
 
     def test_stop_words_removed(self):
-        assert F.clean_text("Fireball is malware", stop_words=("is",)) == [
-            "fireball", "malware"]
+        assert F.clean_text("Fireball is malware") == ["fireball", "malware"]
 
     def test_empty_text(self):
         assert F.clean_text("") == []
 
-    def test_token_filter_hook(self):
-        got = F.clean_text("queries crosses", stop_words=(),
-                           token_filter=F.light_stem)
-        assert got == ["query", "cross"]
+    def test_surviving_words_are_light_stemmed(self):
+        assert F.clean_text("queries crosses") == ["query", "cross"]
 
     def test_default_filter_is_light_stem(self):
         assert F.light_stem("policies") == "policy"
@@ -229,17 +226,32 @@ class TestFitTransform:
         with pytest.raises(SpecMismatchError):
             F.EncoderSpec.from_bytes(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("rules", [
+        {"stem": False, "stop_words": sorted(F.STOP_WORDS)},
+        {"stem": True, "stop_words": []},
+        None,
+    ], ids=["no-stemming", "no-stop-words", "null"])
+    def test_spec_fitted_under_other_text_rules_rejected(self, rules):
+        _, spec = F.fit_transform({"description": ["fireball is malware"]},
+                                  scheme=F.ONEHOT_COUNT)
+        import json
+        doc = json.loads(spec.to_bytes())
+        assert F.EncoderSpec.from_bytes(json.dumps(doc).encode()) == spec
+        doc["text"] = rules
+        with pytest.raises(SpecMismatchError, match="text-cleaning rules"):
+            F.EncoderSpec.from_bytes(json.dumps(doc).encode())
+
     @pytest.mark.parametrize("scheme", F.SCHEMES)
     def test_table6_corpus_through_pipeline(self, scheme):
-        # free-text column built from the two sentences, raw tokens
+        # free-text column built from the two sentences; cleaning drops the
+        # stop words, leaving fireball, malware, program, harmful
         table = {"description": ["fireball is malware",
                                  "malware is any program that is harmful"]}
-        text = F.TextOptions(stop_words=(), stem=False)
-        matrix, _ = F.fit_transform(table, scheme=scheme, text=text)
+        matrix, _ = F.fit_transform(table, scheme=scheme)
         if scheme == F.ONEHOT_COUNT:
             assert matrix.values.astype(int).tolist() == [
-                [1, 1, 1, 0, 0, 0, 0],
-                [0, 2, 1, 1, 1, 1, 1],
+                [1, 1, 0, 0],
+                [0, 1, 1, 1],
             ]
         else:
             norms = np.linalg.norm(matrix.values, axis=1)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import types
@@ -530,16 +531,97 @@ class TestPayloadRoundTrip:
             learners.TrainedModel.load(path)
 
 
+def reference_split(y_codes, test_fraction, seed):
+    """The split as it was when the fraction was a parameter, kept verbatim
+    as the oracle for the fixed-fraction rewrite."""
+    n = int(y_codes.shape[0])
+    if not 0.0 < test_fraction < 1.0:
+        raise ContractError("test_fraction must be in (0, 1)")
+    if n < 2:
+        raise ContractError("need at least two rows to split")
+    n_test = int(round(test_fraction * n))
+    n_test = min(max(n_test, 1), n - 1)
+    rng = np.random.default_rng(seed)
+
+    counts = np.bincount(y_codes)
+    present = np.flatnonzero(counts)
+    stratified = bool((counts[present] >= 2).all())
+    if not stratified:
+        perm = rng.permutation(n)
+        return training.SplitResult(train_idx=np.sort(perm[n_test:]),
+                                    test_idx=np.sort(perm[:n_test]), stratified=False)
+
+    # Largest-remainder allocation: per-class quotas floor(fraction * n_c),
+    # leftovers handed out by fractional part so the total is exactly n_test.
+    # Quotas are capped at n_c - 1 to keep every class represented in train.
+    exact = counts[present] * test_fraction
+    quota = np.floor(exact).astype(np.int64)
+    cap = counts[present].astype(np.int64) - 1
+    quota = np.minimum(quota, cap)
+    deficit = n_test - int(quota.sum())
+    order = np.argsort(-(exact - quota), kind="stable")
+    step = 0
+    while deficit > 0 and step < 2 * len(order) * (1 + n_test):
+        pos = order[step % len(order)]
+        if quota[pos] < cap[pos]:
+            quota[pos] += 1
+            deficit -= 1
+        step += 1
+    if int(quota.sum()) != n_test:
+        # capacity exhausted (huge fraction, many tiny classes): plain split
+        perm = rng.permutation(n)
+        return training.SplitResult(train_idx=np.sort(perm[n_test:]),
+                                    test_idx=np.sort(perm[:n_test]), stratified=False)
+    test_parts = []
+    for cls, q in zip(present, quota):
+        rows = np.flatnonzero(y_codes == cls)
+        rows = rows[rng.permutation(rows.shape[0])]
+        test_parts.append(rows[:int(q)])
+    test_idx = np.sort(np.concatenate(test_parts))
+    mask = np.ones(n, dtype=bool)
+    mask[test_idx] = False
+    return training.SplitResult(train_idx=np.flatnonzero(mask), test_idx=test_idx,
+                                stratified=True)
+
+
+def split_label_vectors():
+    """Every count vector of 1-4 classes with 1-7 rows each, rows shuffled,
+    then random vectors with gaps in the codes."""
+    r = rng(11)
+    for k in range(1, 5):
+        for counts in itertools.product(range(1, 8), repeat=k):
+            yield r.permutation(np.repeat(np.arange(k), counts))
+    for _ in range(300):
+        codes = r.choice(40, size=r.integers(1, 7), replace=False)
+        yield r.choice(codes, size=int(r.integers(2, 90)))
+
+
 class TestSplit:
+    def test_matches_the_reference_at_the_fixed_fraction(self):
+        compared = 0
+        for y in split_label_vectors():
+            if y.shape[0] < 2:
+                with pytest.raises(ContractError):
+                    learners.split(y, seed=0)
+                continue
+            for seed in (0, 1):
+                got = learners.split(y, seed=seed)
+                want = reference_split(y, learners.TEST_FRACTION, seed)
+                assert got.stratified == want.stratified
+                assert got.train_idx.tolist() == want.train_idx.tolist()
+                assert got.test_idx.tolist() == want.test_idx.tolist()
+                compared += 1
+        assert compared == 2 * (7 + 7**2 + 7**3 + 7**4 - 1 + 300)
+
     def test_sizes_follow_fraction(self):
-        result = learners.split(np.arange(10) % 2, 0.3, seed=1)
+        result = learners.split(np.arange(10) % 2, seed=1)
         assert len(result.test_idx) == 3
         assert len(result.train_idx) == 7
 
     def test_disjoint_and_exhaustive(self):
         for seed in range(25):
             y = np.random.default_rng(seed).integers(0, 3, size=53)
-            result = learners.split(y, 0.25, seed=seed)
+            result = learners.split(y, seed=seed)
             train, test = set(result.train_idx), set(result.test_idx)
             assert train & test == set()
             assert train | test == set(range(53))
@@ -547,27 +629,31 @@ class TestSplit:
     def test_stratified_keeps_every_class_in_train(self):
         y = np.array([0] * 30 + [1] * 3 + [2] * 3)
         for seed in range(20):
-            result = learners.split(y, 0.3, seed=seed)
+            result = learners.split(y, seed=seed)
             assert result.stratified
             assert set(y[result.train_idx]) == {0, 1, 2}
 
     def test_deterministic_per_seed(self):
         y = np.arange(40) % 4
-        a = learners.split(y, 0.2, seed=9)
-        b = learners.split(y, 0.2, seed=9)
+        a = learners.split(y, seed=9)
+        b = learners.split(y, seed=9)
         assert (a.train_idx == b.train_idx).all()
-        c = learners.split(y, 0.2, seed=10)
+        c = learners.split(y, seed=10)
         assert set(c.test_idx) != set(a.test_idx)
 
     def test_tiny_sets_never_empty(self):
-        result = learners.split(np.array([0, 1]), 0.5, seed=0)
+        result = learners.split(np.array([0, 1]), seed=0)
         assert len(result.train_idx) == 1 and len(result.test_idx) == 1
 
-    def test_bad_fraction_rejected(self):
+    def test_fewer_than_two_rows_rejected(self):
         with pytest.raises(ContractError):
-            learners.split(np.arange(4), 0.0, seed=0)
+            learners.split(np.array([0]), seed=0)
         with pytest.raises(ContractError):
-            learners.split(np.arange(4), 1.0, seed=0)
+            learners.split(np.array([], dtype=np.int64), seed=0)
+
+
+def default_clock():
+    return learners.BudgetClock(learners.DEFAULT_BUDGET)
 
 
 class TestTune:
@@ -584,7 +670,7 @@ class TestTune:
 
     def test_best_params_achieve_max_trial_score(self):
         X, y = self.two_cluster_problem()
-        result = learners.tune("knn", X, y, 2, learners.DEFAULT_BUDGET, seed=2)
+        result = learners.tune("knn", X, y, 2, default_clock(), seed=2)
         scores = [f1 for _, f1 in result.trials]
         assert scores.count(max(scores)) == 1  # fixture gives a unique winner
         winner = max(result.trials, key=lambda t: t[1])[0]
@@ -592,14 +678,14 @@ class TestTune:
 
     def test_deterministic_per_seed(self):
         X, y = self.two_cluster_problem()
-        a = learners.tune("rf", X, y, 2, learners.DEFAULT_BUDGET, seed=8)
-        b = learners.tune("rf", X, y, 2, learners.DEFAULT_BUDGET, seed=8)
+        a = learners.tune("rf", X, y, 2, default_clock(), seed=8)
+        b = learners.tune("rf", X, y, 2, default_clock(), seed=8)
         assert a.best_params == b.best_params
         assert a.trials == b.trials
 
     def test_trials_cover_grid_scores(self):
         X, y = self.two_cluster_problem()
-        result = learners.tune("gbay", X, y, 2, learners.DEFAULT_BUDGET, seed=3)
+        result = learners.tune("gbay", X, y, 2, default_clock(), seed=3)
         assert 1 <= len(result.trials) <= len(learners.grid_points("gbay"))
         for params, f1 in result.trials:
             assert 0.0 <= f1 <= 1.0
@@ -613,7 +699,7 @@ class TestTune:
         y = np.array([0] * 40 + [1] * 40, dtype=np.int64)
         monkeypatch.setattr(training.time, "perf_counter",
                             CallCountClock(later_looks_faster))
-        result = learners.tune("knn", X, y, 2, learners.DEFAULT_BUDGET, seed=4)
+        result = learners.tune("knn", X, y, 2, default_clock(), seed=4)
         points = learners.grid_points("knn")
         tied = [p for p, f1 in result.trials if f1 == 1.0]
         assert len(tied) >= 2
@@ -629,7 +715,7 @@ class TestBudget:
         budget = learners.BuildBudget(wall_clock_limit=1e-9)
         with pytest.raises(BudgetExceededError):
             learners.train("rf", {"n_trees": 50, "max_depth": 8}, X, y, 2,
-                           budget, seed=0)
+                           learners.BudgetClock(budget), seed=0)
 
     def test_memory_limit_blocks_wide_problems(self):
         X = rng(2).normal(size=(400, 50))
@@ -637,7 +723,7 @@ class TestBudget:
         budget = learners.BuildBudget(memory_limit=10_000)
         with pytest.raises(BudgetExceededError):
             learners.train("rf", {"n_trees": 50, "max_depth": 8}, X, y, 2,
-                           budget, seed=0)
+                           learners.BudgetClock(budget), seed=0)
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ContractError):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from ctivalidator import cli, features, ingest, learners, orchestrator as O
-from ctivalidator.errors import ContractError, UnknownAttributeError
+from ctivalidator.errors import ContractError, StorageError, UnknownAttributeError
 
 from fixture_lib import (
     PLANTED_ALERT_LABELS,
@@ -280,6 +280,27 @@ class TestRegistry:
         assert [e["key"] for e in reopened.entries()] == ["key1"]
         hit = reopened.lookup("key1", confidence=0.5)
         assert hit.canonical_bytes() == model.canonical_bytes()
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:100],
+        lambda raw: b"[]",
+        lambda raw: b'{"format_version": "2"}',
+    ], ids=["cut", "not-an-object", "missing-fields"])
+    def test_corrupt_model_file_is_a_storage_error(self, tmp_path, banded_model,
+                                                   damage):
+        model = for_key(banded_model, "key1")
+        O.ModelRegistry(tmp_path).register("key1", model)
+        [path] = tmp_path.glob("models/*/model.json")
+        path.write_bytes(damage(path.read_bytes()))
+        registry = O.ModelRegistry(tmp_path)
+        for call in (lambda: registry.lookup("key1", confidence=0.5),
+                     lambda: registry.register("key1", model),
+                     registry.entries):
+            with pytest.raises(StorageError, match="corrupt model file") as info:
+                call()
+            assert str(path) in str(info.value)
 
 
 class TestModelFiles:
@@ -648,6 +669,21 @@ class TestWithheldMemo:
         cli.main(["registry-list", "--registry", str(registry.root), "--json"])
         assert [e["key"] for e in json.loads(capsys.readouterr().out)] == [
             outcome.model_key]
+
+    @pytest.mark.parametrize("damage", [b'{"format_version": "1", "req',
+                                        b"[1]"], ids=["cut", "not-an-object"])
+    def test_corrupt_withheld_memo_builds_and_is_rewritten(
+            self, memo_root, tmp_path, damage):
+        best_f1 = copy_root(memo_root, tmp_path)
+        [memo] = (tmp_path / "registry").glob("models/*/withheld.json")
+        intact = memo.read_bytes()
+        memo.write_bytes(damage)
+        orch, _, _ = make_orchestrator(tmp_path, seed=7)
+        outcome = orch.validate(NOISY_REQ, noisy_dataset(), [])
+        assert outcome == O.NotApplicable(reason=O.REASON_BELOW_CONFIDENCE,
+                                          best_f1=best_f1)
+        assert (orch.stats.builds, orch.stats.memo_hits) == (1, 0)
+        assert memo.read_bytes() == intact
 
     @pytest.mark.parametrize("kind", ["time", "memory"])
     def test_memo_only_from_a_build_without_time_failures(
